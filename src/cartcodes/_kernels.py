@@ -1,43 +1,25 @@
 """Hot enumeration kernels: codeword scans and rank over F_q.
 
-Each kernel has two implementations: a numba-compiled walk and a blocked
-pure-numpy fallback.  Numba is used when importable unless the environment
-variable CARTESIAN_NO_NUMBA is set (any value other than "" or "0");
-method="numba" / "numpy" / "naive" forces a path explicitly.  All kernels
-work on int64 element codes through dense q x q lookup tables, so they are
+The minimum-weight scan is a blocked pure-numpy walk over one message per
+projective point: a word's weight does not change when its message is
+multiplied by a nonzero scalar, so only messages whose last nonzero digit is
+1 are encoded, (q^K - 1)/(q - 1) words instead of q^K.  method="naive"
+re-encodes all q^K messages from scratch and serves as the differential
+reference; "auto" and "numpy" select the fast kernel.  All kernels work on
+int64 element codes through dense q x q lookup tables, so they are
 field-agnostic.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - only hit without numba installed
-    HAS_NUMBA = False
-
-ENV_NO_NUMBA = "CARTESIAN_NO_NUMBA"
+METHODS = ("auto", "numpy", "naive")
 
 
-def numba_enabled() -> bool:
-    if not HAS_NUMBA:
-        return False
-    return os.environ.get(ENV_NO_NUMBA, "0") in ("", "0")
-
-
-def _resolve(method: str) -> str:
-    if method == "auto":
-        return "numba" if numba_enabled() else "numpy"
-    if method == "numba" and not HAS_NUMBA:
-        raise RuntimeError("numba is not available; use method='numpy'")
-    if method not in ("numba", "numpy", "naive"):
+def _check_method(method: str) -> None:
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    return method
 
 
 # ---------------------------------------------------------------------------
@@ -50,92 +32,62 @@ def scan_min_weight(G, tables, *, target=None, method="auto", block_digits=None)
 
     The all-zero word is ignored.  `target` permits early exit once the
     running minimum reaches it (confirm mode); None forces a complete pass.
-    `block_digits` tunes the numpy fallback's block size and never changes
-    the result.
+    `block_digits` tunes the fast kernel's block size and never changes the
+    result.
     """
     G = np.ascontiguousarray(np.asarray(G, dtype=np.int64))
-    K, L = G.shape
-    q = tables.q
     tgt = -1 if target is None else int(target)
-    meth = _resolve(method)
-    if meth == "numba":
-        scaled = tables.mul[np.arange(q, dtype=np.int64)[None, :, None], G[:, None, :]]
-        return int(
-            _scan_njit(np.ascontiguousarray(scaled), tables.add, tables.sub, q, q**K, tgt)
-        )
-    if meth == "numpy":
-        return _scan_numpy(G, tables, tgt, block_digits)
-    return _scan_naive(G, tables)
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _scan_njit(scaled, addt, subt, q, total, target):
-        # scaled[i, c, l] = c * G[i, l]; the message odometer updates the word
-        # by swapping one row's contribution per step.
-        K = scaled.shape[0]
-        L = scaled.shape[2]
-        msg = np.zeros(K, dtype=np.int64)
-        word = np.zeros(L, dtype=np.int64)
-        best = L + 1
-        for _ in range(total - 1):
-            j = 0
-            while msg[j] == q - 1:
-                for l in range(L):
-                    word[l] = subt[word[l], scaled[j, q - 1, l]]
-                msg[j] = 0
-                j += 1
-            c = msg[j]
-            for l in range(L):
-                word[l] = addt[subt[word[l], scaled[j, c, l]], scaled[j, c + 1, l]]
-            msg[j] = c + 1
-            w = 0
-            for l in range(L):
-                if word[l] != 0:
-                    w += 1
-            if 0 < w < best:
-                best = w
-                if target >= 0 and best <= target:
-                    break
-        return best
+    _check_method(method)
+    if method == "naive":
+        return _scan_naive(G, tables)
+    return _scan_numpy(G, tables, tgt, block_digits)
 
 
 def _scan_numpy(G, tables, target, block_digits=None) -> int:
+    # Message m = (m_0, ..., m_{K-1}) encodes sum_i m_i G[i].  Every nonzero
+    # message is a unique scalar multiple of one whose last nonzero digit m_t
+    # is 1, i.e. G[t] plus any combination of the rows below t.  Those
+    # combinations are the block W of the first j rows (grown in place for
+    # t < j) plus, for t >= j, an odometer over the high digits below t.
     K, L = G.shape
     q = tables.q
     if block_digits is None:
         block_digits = max(1, int(13 / np.log2(q)))
     j = min(K, block_digits)
     addt, subt, mult = tables.add, tables.sub, tables.mul
-    # all combinations of the first j rows, grown one row at a time
-    W = np.zeros((1, L), dtype=np.int64)
-    for i in range(j):
-        scaled = mult[np.arange(q, dtype=np.int64)[:, None], G[i][None, :]]
-        W = addt[W[:, None, :], scaled[None, :, :]].reshape(-1, L)
     best = L + 1
-    high = G[j:]
-    msg = np.zeros(K - j, dtype=np.int64)
-    whigh = np.zeros(L, dtype=np.int64)
-    for step in range(q ** (K - j)):
-        if step > 0:
-            i = 0
-            while msg[i] == q - 1:
-                whigh = subt[whigh, mult[q - 1, high[i]]]
-                msg[i] = 0
-                i += 1
-            c = msg[i]
-            whigh = addt[subt[whigh, mult[c, high[i]]], mult[c + 1, high[i]]]
-            msg[i] = c + 1
-        block = addt[W, whigh[None, :]]
+
+    def scan(block):
+        nonlocal best
         weights = np.count_nonzero(block, axis=1)
         nz = weights[weights > 0]
         if nz.size:
-            m = int(nz.min())
-            if m < best:
-                best = m
-                if target >= 0 and best <= target:
-                    break
+            best = min(best, int(nz.min()))
+        return target >= 0 and best <= target
+
+    W = np.zeros((1, L), dtype=np.int64)
+    for t in range(j):
+        if scan(addt[W, G[t][None, :]]):
+            return best
+        if t < K - 1:  # the block of all j rows is needed only when high rows follow
+            scaled = mult[np.arange(q, dtype=np.int64)[:, None], G[t][None, :]]
+            W = addt[W[:, None, :], scaled[None, :, :]].reshape(-1, L)
+    high = G[j:]
+    for t in range(K - j):
+        msg = np.zeros(t, dtype=np.int64)
+        whigh = high[t].copy()
+        for step in range(q**t):
+            if step > 0:
+                i = 0
+                while msg[i] == q - 1:
+                    whigh = subt[whigh, mult[q - 1, high[i]]]
+                    msg[i] = 0
+                    i += 1
+                c = msg[i]
+                whigh = addt[subt[whigh, mult[c, high[i]]], mult[c + 1, high[i]]]
+                msg[i] = c + 1
+            if scan(addt[W, whigh[None, :]]):
+                return best
     return best
 
 
@@ -170,43 +122,8 @@ def rank_mod(M, tables, *, method="auto") -> int:
     M = np.array(M, dtype=np.int64, copy=True)
     if M.size == 0:
         return 0
-    meth = _resolve(method)
-    if meth == "numba":
-        return int(_rank_njit(M, tables.sub, tables.mul, tables.inv))
+    _check_method(method)  # one rank kernel serves every method
     return _rank_numpy(M, tables)
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _rank_njit(M, subt, mult, inv):
-        rows, cols = M.shape
-        r = 0
-        for c in range(cols):
-            piv = -1
-            for i in range(r, rows):
-                if M[i, c] != 0:
-                    piv = i
-                    break
-            if piv < 0:
-                continue
-            if piv != r:
-                for l in range(cols):
-                    tmp = M[r, l]
-                    M[r, l] = M[piv, l]
-                    M[piv, l] = tmp
-            s = inv[M[r, c]]
-            for l in range(c, cols):
-                M[r, l] = mult[s, M[r, l]]
-            for i in range(r + 1, rows):
-                f = M[i, c]
-                if f != 0:
-                    for l in range(c, cols):
-                        M[i, l] = subt[M[i, l], mult[f, M[r, l]]]
-            r += 1
-            if r == rows:
-                break
-        return r
 
 
 def _rank_numpy(M, tables) -> int:

@@ -235,7 +235,6 @@ class CartesianCode:
         self.grid, self.kept, self.dropped = grid.normalized()
         self.d = d
         self._matrix = None
-        self._min_weight = None  # cached full-scan oracle result
 
     @property
     def field(self) -> Field:

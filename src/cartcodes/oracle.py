@@ -8,6 +8,7 @@ verify_params) and never count as a pass.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, field as dataclass_field
 from itertools import product
 
@@ -44,16 +45,27 @@ DEFAULT_BUDGET = OracleBudget()
 MAX_RANK_ENTRIES = 1 << 26
 
 
+# Complete default-method scans, one per live code object.  Keyed weakly so
+# the answer goes away with the code.
+_FULL_SCANS: weakref.WeakKeyDictionary[CartesianCode, int] = weakref.WeakKeyDictionary()
+
+
 def _min_weight(code: CartesianCode, budget, *, target=None, corrupt=False, method="auto") -> int:
     mat = code.generator_matrix()
     total = code.field.q ** mat.rows
     if total > budget.max_words:
         raise BudgetExceededError(required=total, limit=budget.max_words)
+    shared = target is None and not corrupt and method == "auto"
+    if shared and code in _FULL_SCANS:
+        return _FULL_SCANS[code]
     arr = mat.array
     if corrupt:
         arr = arr.copy()
         arr[0, 0] = (int(arr[0, 0]) + 1) % code.field.q
-    return _kernels.scan_min_weight(arr, code.field.tables(), target=target, method=method)
+    w = _kernels.scan_min_weight(arr, code.field.tables(), target=target, method=method)
+    if shared:
+        _FULL_SCANS[code] = w
+    return w
 
 
 def brute_min_distance(
@@ -67,21 +79,12 @@ def brute_min_distance(
 
     confirm_only allows the scan to stop once the running minimum reaches the
     closed-form distance; the default is a complete, formula-independent pass.
-    Complete default scans are cached on the code object.
+    Complete default-method scans are cached per code object, after the
+    budget check, so an over-budget call raises even when an answer is cached.
     """
     budget = budget or DEFAULT_BUDGET
-    total = code.field.q ** code.generator_matrix().rows
-    if total > budget.max_words:
-        raise BudgetExceededError(required=total, limit=budget.max_words)
-    if confirm_only:
-        target = min_distance_formula(code.cards, code.d)
-        return _min_weight(code, budget, target=target, method=method)
-    if code._min_weight is None or method != "auto":
-        w = _min_weight(code, budget, method=method)
-        if method == "auto":
-            code._min_weight = w
-        return w
-    return code._min_weight
+    target = min_distance_formula(code.cards, code.d) if confirm_only else None
+    return _min_weight(code, budget, target=target, method=method)
 
 
 def max_zero_search(
@@ -217,12 +220,9 @@ def verify_params(
         arr = _full_monomial_matrix(code, budget, corrupt=corrupt)
         return _kernels.rank_mod(arr, code.field.tables(), method=method)
 
-    scan: dict[str, int] = {}
-
     def min_weight_oracle():
-        if "w" not in scan:
-            scan["w"] = _min_weight(code, budget, corrupt=corrupt, method=method)
-        return scan["w"]
+        # the second call is answered from _FULL_SCANS unless corrupt or method is set
+        return _min_weight(code, budget, corrupt=corrupt, method=method)
 
     run("rank_dimension", dim, rank_oracle)
     run("min_distance", delta, min_weight_oracle)

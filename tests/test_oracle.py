@@ -54,6 +54,7 @@ def test_max_zero_search_examples():
 
 def test_budget_exceeded_word_count():
     code = _full_code(3, 1, (3, 3), 2)  # dimension 6, 3^6 = 729 words
+    brute_min_distance(code)  # a cached answer must not bypass the budget
     with pytest.raises(BudgetExceededError) as exc:
         brute_min_distance(code, OracleBudget(max_words=100))
     assert exc.value.required == 729
