@@ -4,8 +4,8 @@ Build a grid A_1 x ... x A_n inside F_q, evaluate all polynomials of degree
 <= d on it, and read off the code's exact length, dimension, minimum
 distance, and regularity from closed formulas; generator matrices, extremal
 codewords, named constructions, and brute-force verification oracles are
-included.  The oracle and CLI submodules are imported lazily (they pull in
-the JIT kernels): use `from cartcodes import oracle`.
+included.  The oracle and CLI submodules are not imported here: use
+`from cartcodes import oracle`.
 """
 
 from .code import (
@@ -44,6 +44,7 @@ from .errors import (
     DuplicateElementError,
     EmptySetError,
     FieldMismatchError,
+    InvalidFieldCapError,
     InvalidFieldError,
     LengthMismatchError,
     NotADivisorError,

@@ -3,11 +3,12 @@
 The minimum-weight scan is a blocked pure-numpy walk over one message per
 projective point: a word's weight does not change when its message is
 multiplied by a nonzero scalar, so only messages whose last nonzero digit is
-1 are encoded, (q^K - 1)/(q - 1) words instead of q^K.  method="naive"
-re-encodes all q^K messages from scratch and serves as the differential
-reference; "auto" and "numpy" select the fast kernel.  All kernels work on
-int64 element codes through dense q x q lookup tables, so they are
-field-agnostic.
+1 are encoded, (q^K - 1)/(q - 1) words instead of q^K.  Its inner loop does
+no field arithmetic: the weight of W[r] + h is the number of positions where
+W[r] differs from -h.  method="naive" re-encodes all q^K messages from
+scratch and serves as the differential reference; "auto" and "numpy" select
+the fast kernel.  All kernels work on int64 element codes through the
+field's vectorized FieldTables operations, so they are field-agnostic.
 """
 
 from __future__ import annotations
@@ -15,6 +16,10 @@ from __future__ import annotations
 import numpy as np
 
 METHODS = ("auto", "numpy", "naive")
+
+# Matrix entries per elimination update in rank_mod; bounds the temporaries
+# of the table arithmetic on large matrices.
+RANK_CHUNK_ENTRIES = 1 << 15
 
 
 def _check_method(method: str) -> None:
@@ -54,12 +59,13 @@ def _scan_numpy(G, tables, target, block_digits=None) -> int:
     if block_digits is None:
         block_digits = max(1, int(13 / np.log2(q)))
     j = min(K, block_digits)
-    addt, subt, mult = tables.add, tables.sub, tables.mul
+    codes = np.arange(q, dtype=np.int64)[:, None]
     best = L + 1
 
-    def scan(block):
+    def scan(h):
+        # weight(W[r] + h) = #{c : W[r, c] != -h[c]}
         nonlocal best
-        weights = np.count_nonzero(block, axis=1)
+        weights = np.count_nonzero(W != tables.neg[h], axis=1)
         nz = weights[weights > 0]
         if nz.size:
             best = min(best, int(nz.min()))
@@ -67,26 +73,29 @@ def _scan_numpy(G, tables, target, block_digits=None) -> int:
 
     W = np.zeros((1, L), dtype=np.int64)
     for t in range(j):
-        if scan(addt[W, G[t][None, :]]):
+        if scan(G[t]):
             return best
         if t < K - 1:  # the block of all j rows is needed only when high rows follow
-            scaled = mult[np.arange(q, dtype=np.int64)[:, None], G[t][None, :]]
-            W = addt[W[:, None, :], scaled[None, :, :]].reshape(-1, L)
-    high = G[j:]
-    for t in range(K - j):
-        msg = np.zeros(t, dtype=np.int64)
-        whigh = high[t].copy()
-        for step in range(q**t):
-            if step > 0:
+            scaled = tables.mul(codes, G[t][None, :])
+            W = tables.add(W[:, None, :], scaled[None, :, :]).reshape(-1, L)
+    # Moving digit i from c to c + 1 (mod q) adds step[i][c] to the high part.
+    step = []
+    for row in G[j:-1]:
+        scaled = tables.mul(codes, row[None, :])
+        step.append(tables.sub(np.roll(scaled, -1, axis=0), scaled))
+    for t in range(j, K):
+        msg = np.zeros(t - j, dtype=np.int64)
+        whigh = G[t]
+        for count in range(q ** (t - j)):
+            if count > 0:
                 i = 0
                 while msg[i] == q - 1:
-                    whigh = subt[whigh, mult[q - 1, high[i]]]
+                    whigh = tables.add(whigh, step[i][q - 1])
                     msg[i] = 0
                     i += 1
-                c = msg[i]
-                whigh = addt[subt[whigh, mult[c, high[i]]], mult[c + 1, high[i]]]
-                msg[i] = c + 1
-            if scan(addt[W, whigh[None, :]]):
+                whigh = tables.add(whigh, step[i][msg[i]])
+                msg[i] += 1
+            if scan(whigh):
                 return best
     return best
 
@@ -96,7 +105,6 @@ def _scan_naive(G, tables, chunk=4096) -> int:
     K, L = G.shape
     q = tables.q
     total = q**K
-    addt, mult = tables.add, tables.mul
     powers = q ** np.arange(K, dtype=np.int64)
     best = L + 1
     for start in range(1, total, chunk):
@@ -104,7 +112,7 @@ def _scan_naive(G, tables, chunk=4096) -> int:
         digits = (idx[:, None] // powers[None, :]) % q
         words = np.zeros((idx.size, L), dtype=np.int64)
         for i in range(K):
-            words = addt[words, mult[digits[:, i][:, None], G[i][None, :]]]
+            words = tables.add(words, tables.mul(digits[:, i][:, None], G[i][None, :]))
         weights = np.count_nonzero(words, axis=1)
         nz = weights[weights > 0]
         if nz.size:
@@ -127,23 +135,24 @@ def rank_mod(M, tables, *, method="auto") -> int:
 
 
 def _rank_numpy(M, tables) -> int:
-    subt, mult, inv = tables.sub, tables.mul, tables.inv
     rows, cols = M.shape
+    chunk = max(1, RANK_CHUNK_ENTRIES // cols)
     r = 0
     for c in range(cols):
-        col = M[r:, c]
-        nz = np.nonzero(col)[0]
+        nz = np.flatnonzero(M[r:, c])
         if nz.size == 0:
             continue
         piv = r + int(nz[0])
         if piv != r:
             M[[r, piv]] = M[[piv, r]]
-        M[r] = mult[inv[M[r, c]], M[r]]
+        M[r] = tables.mul(tables.inv[M[r, c]], M[r])
+        pivot_row = M[r][None, :]
         rest = M[r + 1 :]
-        f = rest[:, c]
-        mask = f != 0
-        if mask.any():
-            rest[mask] = subt[rest[mask], mult[f[mask][:, None], M[r][None, :]]]
+        hit = np.flatnonzero(rest[:, c])
+        for s in range(0, hit.size, chunk):  # bounded temporaries
+            sel = hit[s : s + chunk]
+            block = rest[sel]
+            rest[sel] = tables.sub(block, tables.mul(block[:, c][:, None], pivot_row))
         r += 1
         if r == rows:
             break

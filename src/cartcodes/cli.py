@@ -196,7 +196,7 @@ def cmd_verify(args) -> int:
     for d in degrees:
         code = CartesianCode(grid, d)
         cards = code.cards
-        report = verify_params(code, budget, corrupt=args.corrupt_fixture)
+        report = verify_params(code, budget)
         checks.extend(c.to_dict() for c in report.checks)
         ok = ok and report.ok
     print(json.dumps({"q": qval, "cards": list(cards), "checks": checks, "ok": ok}))
@@ -263,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--d", type=int)
     v.add_argument("--dall", action="store_true", help="verify every d up to the regularity")
     v.add_argument("--max-words", type=int, default=1 << 24)
-    v.add_argument("--corrupt-fixture", action="store_true", help=argparse.SUPPRESS)
     v.set_defaults(func=cmd_verify)
 
     c = sub.add_parser("construct", help="degenerate torus with prescribed set sizes")

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import LengthMismatchError, OutOfRangeError, TooLargeError
+from .errors import LengthMismatchError, OutOfRangeError
 from .field import Field
 from .grid import Grid
 from .poly import MultiPoly, evaluate_on_grid, grevlex_key, monomial_rows
@@ -298,22 +298,11 @@ def encode(matrix: GeneratorMatrix, message) -> np.ndarray:
     msg = [F.validate(c) for c in message]
     if len(msg) != matrix.rows:
         raise LengthMismatchError(f"message length {len(msg)} != {matrix.rows} rows")
+    T = F.tables()
     word = np.zeros(matrix.cols, dtype=np.int64)
-    try:
-        T = F.tables()
-    except TooLargeError:
-        T = None
-    if T is None:
-        for c in range(matrix.cols):
-            acc = 0
-            for i, m in enumerate(msg):
-                if m:
-                    acc = F.add(acc, F.mul(m, int(matrix.array[i, c])))
-            word[c] = acc
-        return word
     for i, m in enumerate(msg):
         if m:
-            word = T.add[word, T.mul[m, matrix.array[i]]]
+            word = T.add(word, T.mul(m, matrix.array[i]))
     return word
 
 

@@ -10,7 +10,11 @@ class NotPrimeError(CartesianCodeError, ValueError):
 
 
 class TooLargeError(CartesianCodeError, ValueError):
-    """A field or table exceeds the configured size cap."""
+    """A field exceeds the configured size cap."""
+
+
+class InvalidFieldCapError(CartesianCodeError, ValueError):
+    """CARTESIAN_MAX_FIELD is set to something other than a positive integer."""
 
 
 class FieldMismatchError(CartesianCodeError, ValueError):

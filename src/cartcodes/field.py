@@ -1,14 +1,20 @@
-"""Exact arithmetic in small finite fields F_{p^e}.
+"""Exact arithmetic in finite fields F_{p^e}.
 
 Elements are plain integers in [0, q): the base-p digits of a code are its
 coefficients over the polynomial basis, so 0 is the additive and 1 the
 multiplicative identity, and for e = 1 arithmetic is just integers mod p.
-Integer codes keep matrices and CLI output bit-reproducible and let hot
-loops run on dense lookup tables.
+Integer codes keep matrices and CLI output bit-reproducible.
+
+All arithmetic on codes, scalar or vectorized, goes through one
+representation: the O(q) log/exp/Zech tables of FieldTables, built once per
+field on first use.  They are built from multiplication matrices, the
+F_p-linear maps x -> c*x on coefficient rows; the same matrices find the
+primitive element and the cyclic subgroups, so neither needs the tables.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -16,20 +22,32 @@ import numpy as np
 
 from .errors import (
     FieldMismatchError,
+    InvalidFieldCapError,
     NotADivisorError,
     NotPrimeError,
     TooLargeError,
 )
 
 DEFAULT_MAX_FIELD = 1 << 20
-TABLE_LIMIT = 2048
 ENV_MAX_FIELD = "CARTESIAN_MAX_FIELD"
+
+# Codes per step when multiplying a code array by a constant; bounds the
+# (block, e) digit temporaries.
+_BLOCK = 1 << 14
 
 
 def max_field_size() -> int:
     """Field-size cap; override with the CARTESIAN_MAX_FIELD environment variable."""
     raw = os.environ.get(ENV_MAX_FIELD)
-    return int(raw) if raw else DEFAULT_MAX_FIELD
+    if not raw:
+        return DEFAULT_MAX_FIELD
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = None
+    if cap is None or cap < 1:
+        raise InvalidFieldCapError(f"{ENV_MAX_FIELD} must be a positive integer, got {raw!r}")
+    return cap
 
 
 def is_prime(n: int) -> bool:
@@ -115,32 +133,83 @@ class Subgroup:
 
 
 class FieldTables:
-    """Dense int64 lookup tables for vectorized arithmetic on codes."""
+    """O(q) lookup tables and vectorized arithmetic on element codes.
 
-    __slots__ = ("q", "add", "sub", "neg", "mul", "inv")
+    With g the primitive element and N = q - 1, log[a] is the discrete
+    logarithm of a unit a, and log[0] is the sentinel Z = 2N - 1, which no
+    sum of two unit logarithms reaches.  exp[k] = g^(k mod N) for k < Z and 0
+    from Z on (the zero tail), so exp[log[a] + log[b]] = a*b for every pair,
+    0 included.  zech[d + Z] is the Zech logarithm log(1 + g^d) for |d| < N
+    (Z where 1 + g^d = 0), extended so that
 
-    def __init__(self, q, add, sub, neg, mul, inv):
-        self.q = q
-        self.add = add
-        self.sub = sub
-        self.neg = neg
-        self.mul = mul
-        self.inv = inv  # inv[0] is unused and left at 0
+        a + b = exp[log[a] + zech[log[b] - log[a] + Z]]
+
+    holds when a or b is 0 too: d in [N, Z] (b = 0) maps to 0 and d in
+    [-Z, -N] (a = 0) maps to d itself.  In characteristic 2 addition is the
+    XOR of codes and there is no zech table.  The operations broadcast like
+    numpy ufuncs and take scalars as well as arrays.
+    """
+
+    __slots__ = ("q", "p", "sentinel", "log", "exp", "zech", "neg", "inv")
+
+    def __init__(self, field: "Field"):
+        q, p = field.q, field.p
+        n = q - 1
+        z = 2 * n - 1
+        powers = field._powers(field.primitive_element(), n)
+        log = np.empty(q, dtype=np.int64)
+        log[powers] = np.arange(n, dtype=np.int64)
+        log[0] = z
+        exp = np.zeros(2 * z + 1, dtype=np.int64)
+        exp[:n] = powers
+        exp[n:z] = powers[: n - 1]
+        zech = None  # characteristic 2 adds by XOR
+        if p != 2:
+            # adding 1 raises the constant coefficient, the lowest digit
+            low = powers % p
+            zech_units = log[powers - low + (low + 1) % p]
+            zech = np.zeros(2 * z + 1, dtype=np.int64)
+            zech[:n] = np.arange(-z, -n + 1)
+            zech[n:z] = zech_units[1:]
+            zech[z : z + n] = zech_units
+        inv = np.zeros(q, dtype=np.int64)  # inv[0] is unused and left at 0
+        inv[1:] = exp[-log[1:] % n]
+        self.q, self.p, self.sentinel = q, p, z
+        self.log, self.exp, self.zech, self.inv = log, exp, zech, inv
+        self.neg = exp[log + (0 if p == 2 else n // 2)]  # -1 = g^(N/2) for odd p
+
+    def mul(self, a, b):
+        log = self.log
+        return self.exp[log[a] + log[b]]
+
+    def add(self, a, b):
+        if self.p == 2:
+            return np.bitwise_xor(a, b)
+        log = self.log
+        la = log[a]
+        k = log[b] - la
+        k += self.sentinel
+        k = self.zech[k]
+        k += la
+        return self.exp[k]
+
+    def sub(self, a, b):
+        return self.add(a, self.neg[b])
 
 
 class Field:
     """The finite field F_{p^e} with integer-coded elements."""
 
-    __slots__ = ("p", "e", "q", "modulus", "_tables", "_primitive", "_unit_factors")
+    __slots__ = ("p", "e", "q", "modulus", "_weights", "_tables", "_primitive")
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
         self.p = p
         self.e = e
         self.q = p**e
         self.modulus = tuple(modulus)
+        self._weights = p ** np.arange(e, dtype=np.int64)
         self._tables = None
         self._primitive = None
-        self._unit_factors = None
 
     def __repr__(self):
         return f"Field({self.p})" if self.e == 1 else f"Field({self.p}^{self.e})"
@@ -164,190 +233,129 @@ class Field:
     def elements(self) -> range:
         return range(self.q)
 
-    def coeffs(self, a: int) -> list[int]:
-        """Polynomial-basis coefficients of a code, constant term first."""
-        return _digits(a, self.p, self.e)
+    # -- arithmetic: lookups into the tables ---------------------------------
 
-    def from_coeffs(self, cs) -> int:
-        code = 0
-        for c in reversed(list(cs)):
-            code = code * self.p + c % self.p
-        return code
+    def tables(self) -> FieldTables:
+        """The O(q) arithmetic tables, built on first use."""
+        if self._tables is None:
+            self._tables = FieldTables(self)
+        return self._tables
 
-    # -- arithmetic -----------------------------------------------------------
+    def _t(self) -> FieldTables:
+        # scalar operations read the cached tables without a method call each
+        return self._tables or self.tables()
 
     def add(self, a: int, b: int) -> int:
-        a = self.validate(a)
-        b = self.validate(b)
-        if self.e == 1:
-            return (a + b) % self.p
-        p = self.p
-        out = 0
-        m = 1
-        while a or b:
-            out += (a % p + b % p) % p * m
-            a //= p
-            b //= p
-            m *= p
-        return out
+        return int(self._t().add(self.validate(a), self.validate(b)))
 
     def neg(self, a: int) -> int:
-        a = self.validate(a)
-        if self.e == 1:
-            return (-a) % self.p
-        p = self.p
-        out = 0
-        m = 1
-        while a:
-            out += (-(a % p)) % p * m
-            a //= p
-            m *= p
-        return out
+        return int(self._t().neg[self.validate(a)])
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return int(self._t().sub(self.validate(a), self.validate(b)))
 
     def mul(self, a: int, b: int) -> int:
-        a = self.validate(a)
-        b = self.validate(b)
-        if self.e == 1:
-            return a * b % self.p
-        if a == 0 or b == 0:
-            return 0
-        p, e = self.p, self.e
-        ca = self.coeffs(a)
-        cb = self.coeffs(b)
-        prod = [0] * (2 * e - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        mod = self.modulus
-        for i in range(2 * e - 2, e - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(e):
-                    prod[i - e + j] = (prod[i - e + j] - c * mod[j]) % p
-        return self.from_coeffs(prod[:e])
+        return int(self._t().mul(self.validate(a), self.validate(b)))
 
     def pow(self, a: int, k: int) -> int:
-        """Square-and-multiply exponentiation; negative k inverts first."""
+        """a^k; negative k inverts first, and 0^0 = 1."""
         a = self.validate(a)
         if k < 0:
             return self.pow(self.inv(a), -k)
-        if self.e == 1:
-            return pow(a, k, self.p)
-        out = 1
-        base = a
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            k >>= 1
-            if k:
-                base = self.mul(base, base)
-        return out
+        if a == 0:
+            return int(k == 0)
+        T = self._t()
+        return int(T.exp[int(T.log[a]) * k % (self.q - 1)])
 
     def inv(self, a: int) -> int:
         a = self.validate(a)
         if a == 0:
             raise ZeroDivisionError(f"inverse of 0 in {self!r}")
-        if self.e == 1:
-            return pow(a, -1, self.p)
-        return self.pow(a, self.q - 2)
+        return int(self._t().inv[a])
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
-    # -- multiplicative structure ----------------------------------------------
+    # -- multiplication matrices: build the tables, find g and subgroups -----
 
-    def _unit_factorization(self) -> dict[int, int]:
-        if self._unit_factors is None:
-            self._unit_factors = factorize(self.q - 1) if self.q > 2 else {}
-        return self._unit_factors
+    def _digits(self, codes) -> np.ndarray:
+        """Base-p digits of codes, constant term first, along a new last axis."""
+        return np.asarray(codes, dtype=np.int64)[..., None] // self._weights % self.p
+
+    def _mul_matrix(self, c: int) -> np.ndarray:
+        """The e x e matrix M over F_p with digits(a*c) = digits(a) @ M mod p.
+
+        Row j holds the digits of c * x^j: the previous row shifted up one
+        power, with x^e rewritten through the modulus.  The entries are
+        float64 so that products run through BLAS; every intermediate is an
+        integer below e * p^2 <= 2^40, hence exact.
+        """
+        p = self.p
+        top = -np.array(self.modulus[:-1], dtype=np.int64)  # x^e in the basis
+        rows = [self._digits(c)]
+        for _ in range(1, self.e):
+            prev = rows[-1]
+            rows.append((np.concatenate(([0], prev[:-1])) + prev[-1] * top) % p)
+        return np.array(rows, dtype=np.float64)
+
+    def _times(self, codes, M: np.ndarray) -> np.ndarray:
+        """Codes of codes * c, for M = _mul_matrix(c)."""
+        digits = (self._digits(codes) @ M).astype(np.int64)
+        digits %= self.p
+        return digits @ self._weights
+
+    def _power(self, c: int, k: int) -> int:
+        """c^k for k >= 0, by square-and-multiply on multiplication matrices."""
+        M = self._mul_matrix(c)
+        out = 1
+        while k:
+            if k & 1:
+                out = int(self._times(out, M))
+            k >>= 1
+            M = M @ M % self.p
+        return out
+
+    def _powers(self, c: int, count: int) -> np.ndarray:
+        """Codes of c^0, ..., c^(count-1): block [n, 2n) is block [0, n) times c^n."""
+        out = np.empty(count, dtype=np.int64)
+        out[0] = 1
+        M = self._mul_matrix(c)  # multiplication by c^n
+        n = 1
+        while n < count:
+            m = min(n, count - n)
+            for s in range(0, m, _BLOCK):
+                t = min(s + _BLOCK, m)
+                out[n + s : n + t] = self._times(out[s:t], M)
+            M = M @ M % self.p
+            n += m
+        return out
+
+    # -- multiplicative structure ----------------------------------------------
 
     def element_order(self, a: int) -> int:
         a = self.validate(a)
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative order")
-        order = self.q - 1
-        for r in self._unit_factorization():
-            while order % r == 0 and self.pow(a, order // r) == 1:
-                order //= r
-        return order
+        n = self.q - 1
+        return n // math.gcd(int(self._t().log[a]), n)
 
     def primitive_element(self) -> int:
         """Smallest code whose multiplicative order is q - 1."""
         if self._primitive is None:
-            target = self.q - 1
-            for a in range(1, self.q):
-                if self.element_order(a) == target:
-                    self._primitive = a
-                    break
+            n = self.q - 1
+            primes = factorize(n)
+            self._primitive = next(
+                a for a in range(1, self.q) if all(self._power(a, n // r) != 1 for r in primes)
+            )
         return self._primitive
 
     def subgroup_of_order(self, k: int) -> Subgroup:
         """The unique cyclic subgroup of order k; k must divide q - 1."""
         if k < 1 or (self.q - 1) % k != 0:
             raise NotADivisorError(f"{k} does not divide q - 1 = {self.q - 1}")
-        g = self.pow(self.primitive_element(), (self.q - 1) // k)
-        elems = []
-        x = 1
-        for _ in range(k):
-            elems.append(x)
-            x = self.mul(x, g)
+        g = self._power(self.primitive_element(), (self.q - 1) // k)
+        elems = self._powers(g, k).tolist()
         return Subgroup(order=k, generator=g, elements=tuple(sorted(elems)))
-
-    # -- lookup tables -----------------------------------------------------------
-
-    def tables(self) -> FieldTables:
-        """Dense q x q operation tables; only available for q <= TABLE_LIMIT."""
-        if self._tables is None:
-            if self.q > TABLE_LIMIT:
-                raise TooLargeError(
-                    f"q = {self.q} exceeds the table limit {TABLE_LIMIT}"
-                )
-            self._tables = self._build_tables()
-        return self._tables
-
-    def _build_tables(self) -> FieldTables:
-        q = self.q
-        if self.e == 1:
-            idx = np.arange(q, dtype=np.int64)
-            add = (idx[:, None] + idx[None, :]) % q
-            sub = (idx[:, None] - idx[None, :]) % q
-            neg = (-idx) % q
-            mul = (idx[:, None] * idx[None, :]) % q
-            inv = np.zeros(q, dtype=np.int64)
-            for a in range(1, q):
-                inv[a] = pow(a, -1, q)
-            return FieldTables(q, add, sub, neg, mul, inv)
-
-        p, e = self.p, self.e
-        codes = np.arange(q, dtype=np.int64)
-        coeffs = np.zeros((q, e), dtype=np.int16)
-        for j in range(e):
-            coeffs[:, j] = (codes // p**j) % p
-        weights = np.array([p**j for j in range(e)], dtype=np.int64)
-        sums = (coeffs[:, None, :] + coeffs[None, :, :]) % p
-        add = (sums.astype(np.int64) * weights).sum(axis=2)
-        neg = (((p - coeffs) % p).astype(np.int64) * weights).sum(axis=1)
-        sub = add[:, neg]
-        # multiplication through discrete logs over a primitive element
-        g = self.primitive_element()
-        exp = np.zeros(q - 1, dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
-        x = 1
-        for i in range(q - 1):
-            exp[i] = x
-            log[x] = i
-            x = self.mul(x, g)
-        mul = np.zeros((q, q), dtype=np.int64)
-        lu = log[1:]
-        mul[1:, 1:] = exp[(lu[:, None] + lu[None, :]) % (q - 1)]
-        inv = np.zeros(q, dtype=np.int64)
-        inv[1:] = exp[(-lu) % (q - 1)]
-        return FieldTables(q, add, sub, neg, mul, inv)
 
 
 _FIELD_CACHE: dict[tuple[int, int], Field] = {}

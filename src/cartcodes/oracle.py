@@ -50,19 +50,15 @@ MAX_RANK_ENTRIES = 1 << 26
 _FULL_SCANS: weakref.WeakKeyDictionary[CartesianCode, int] = weakref.WeakKeyDictionary()
 
 
-def _min_weight(code: CartesianCode, budget, *, target=None, corrupt=False, method="auto") -> int:
+def _min_weight(code: CartesianCode, budget, *, target=None, method="auto") -> int:
     mat = code.generator_matrix()
     total = code.field.q ** mat.rows
     if total > budget.max_words:
         raise BudgetExceededError(required=total, limit=budget.max_words)
-    shared = target is None and not corrupt and method == "auto"
+    shared = target is None and method == "auto"
     if shared and code in _FULL_SCANS:
         return _FULL_SCANS[code]
-    arr = mat.array
-    if corrupt:
-        arr = arr.copy()
-        arr[0, 0] = (int(arr[0, 0]) + 1) % code.field.q
-    w = _kernels.scan_min_weight(arr, code.field.tables(), target=target, method=method)
+    w = _kernels.scan_min_weight(mat.array, code.field.tables(), target=target, method=method)
     if shared:
         _FULL_SCANS[code] = w
     return w
@@ -118,7 +114,7 @@ def brute_rank_dimension(
     return _kernels.rank_mod(arr, code.field.tables(), method=method)
 
 
-def _full_monomial_matrix(code: CartesianCode, budget, *, corrupt=False) -> np.ndarray:
+def _full_monomial_matrix(code: CartesianCode, budget) -> np.ndarray:
     grid = code.grid
     if grid.size > budget.max_points:
         raise BudgetExceededError(required=grid.size, limit=budget.max_points)
@@ -130,10 +126,7 @@ def _full_monomial_matrix(code: CartesianCode, budget, *, corrupt=False) -> np.n
     if len(exps) * grid.size > MAX_RANK_ENTRIES:
         raise BudgetExceededError(required=len(exps) * grid.size, limit=MAX_RANK_ENTRIES)
     exps.sort(key=grevlex_key)
-    arr = monomial_rows(grid, exps)
-    if corrupt and arr.shape[0] >= 2:
-        arr[1] = arr[0]
-    return arr
+    return monomial_rows(grid, exps)
 
 
 @dataclass
@@ -181,14 +174,12 @@ def verify_params(
     code: CartesianCode,
     budget: OracleBudget | None = None,
     *,
-    corrupt: bool = False,
     method: str = "auto",
 ) -> VerifyReport:
     """Compare closed-form parameters against the brute-force oracles.
 
-    Budget overruns mark a check as skipped, never passed.  `corrupt` damages
-    the matrices before checking (negative control for the harness itself);
-    the failure detail then carries the witnessing values.
+    Budget overruns mark a check as skipped, never passed; a failure's detail
+    carries the witnessing values.
     """
     budget = budget or DEFAULT_BUDGET
     report = VerifyReport(q=code.field.q, cards=code.cards)
@@ -217,12 +208,12 @@ def verify_params(
             )
 
     def rank_oracle():
-        arr = _full_monomial_matrix(code, budget, corrupt=corrupt)
+        arr = _full_monomial_matrix(code, budget)
         return _kernels.rank_mod(arr, code.field.tables(), method=method)
 
     def min_weight_oracle():
-        # the second call is answered from _FULL_SCANS unless corrupt or method is set
-        return _min_weight(code, budget, corrupt=corrupt, method=method)
+        # the second call is answered from _FULL_SCANS unless method is set
+        return _min_weight(code, budget, method=method)
 
     run("rank_dimension", dim, rank_oracle)
     run("min_distance", delta, min_weight_oracle)

@@ -12,7 +12,7 @@ import re
 
 import numpy as np
 
-from .errors import ArityMismatchError, FieldMismatchError, TooLargeError
+from .errors import ArityMismatchError, FieldMismatchError
 from .field import Field
 from .grid import Grid
 
@@ -23,6 +23,9 @@ def grevlex_key(exps):
 
 
 _FACTOR = re.compile(r"^t(\d+)(?:\^(\d+))?$")
+
+# Matrix entries computed at once by monomial_rows; bounds its temporaries.
+MONOMIAL_CHUNK_ENTRIES = 1 << 16
 
 
 class MultiPoly:
@@ -310,51 +313,39 @@ def reduce_mod_grid(f: MultiPoly, grid: Grid) -> MultiPoly:
     return MultiPoly(F, f.n, out)
 
 
-def power_columns(grid: Grid, max_exps) -> list[np.ndarray]:
-    """Per-coordinate arrays P_i[a, j] = A_i[j]^a for a = 0..max_exps[i]."""
-    F = grid.field
-    cols = []
-    for i in range(grid.n):
-        col = np.empty((max_exps[i] + 1, grid.cards[i]), dtype=np.int64)
-        col[0] = 1
-        for j, x in enumerate(grid.sets[i]):
-            acc = 1
-            for a in range(1, max_exps[i] + 1):
-                acc = F.mul(acc, x)
-                col[a, j] = acc
-        cols.append(col)
-    return cols
-
-
 def monomial_rows(grid: Grid, exps_list) -> np.ndarray:
     """Evaluations of monomials on the whole grid, one row per monomial.
 
-    Columns follow grid.points() order.  Uses lookup tables when the field is
-    small enough, otherwise falls back to scalar evaluation.
+    Columns follow grid.points() order.  Works in the log domain: at a point
+    with every x_i != 0 the value is g^(sum_i a_i log x_i mod (q - 1)), and it
+    is 0 when some x_i = 0 carries a_i > 0.
     """
     rows = len(exps_list)
     arr = np.empty((rows, grid.size), dtype=np.int64)
     if rows == 0:
         return arr
-    F = grid.field
-    try:
-        T = F.tables()
-    except TooLargeError:
-        T = None
-    if T is None:
-        for r, exps in enumerate(exps_list):
-            poly = MultiPoly(F, grid.n, {tuple(exps): 1})
-            arr[r] = [poly.evaluate(pt) for pt in grid.points()]
-        return arr
-    n = grid.n
-    maxe = [max(e[i] for e in exps_list) for i in range(n)]
-    cols = power_columns(grid, maxe)
-    for r, exps in enumerate(exps_list):
-        v = None
-        for i, a in enumerate(exps):
-            colb = cols[i][a].reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
-            v = colb if v is None else T.mul[v, colb]
-        arr[r] = np.broadcast_to(v, grid.cards).reshape(-1)
+    T = grid.field.tables()
+    n, N = grid.n, grid.field.q - 1
+    zero = n * N  # exceeds every sum of n reduced logarithms: marks a zero factor
+    exps = np.array(exps_list, dtype=np.int64).reshape(rows, n)
+    logpow = []  # logpow[i][a, j] = log(A_i[j]^a) mod N, or `zero` where that power is 0
+    for i, s in enumerate(grid.sets):
+        x = np.array(s, dtype=np.int64)
+        lp = np.arange(exps[:, i].max() + 1)[:, None] * T.log[x] % N
+        lp[1:, x == 0] = zero
+        logpow.append(lp)
+    chunk = max(1, MONOMIAL_CHUNK_ENTRIES // grid.size)
+    for s in range(0, rows, chunk):
+        e = exps[s : s + chunk]
+        total = 0
+        for i in range(n):
+            shape = (len(e),) + (1,) * i + (-1,) + (1,) * (n - 1 - i)
+            total = total + logpow[i][e[:, i]].reshape(shape)
+        vanish = total >= zero
+        total %= N
+        vals = T.exp[total]
+        vals[vanish] = 0
+        arr[s : s + chunk] = vals.reshape(len(e), -1)
     return arr
 
 
@@ -366,18 +357,12 @@ def evaluate_on_grid(f: MultiPoly, grid: Grid) -> np.ndarray:
         raise ArityMismatchError(f"polynomial has {f.n} variables, grid has {grid.n}")
     if not f.terms:
         return np.zeros(grid.size, dtype=np.int64)
-    F = grid.field
-    try:
-        T = F.tables()
-    except TooLargeError:
-        return np.fromiter(
-            (f.evaluate(pt) for pt in grid.points()), dtype=np.int64, count=grid.size
-        )
+    T = grid.field.tables()
     exps_list = list(f.terms)
     rows = monomial_rows(grid, exps_list)
     acc = np.zeros(grid.size, dtype=np.int64)
     for r, exps in enumerate(exps_list):
-        acc = T.add[acc, T.mul[f.terms[exps], rows[r]]]
+        acc = T.add(acc, T.mul(f.terms[exps], rows[r]))
     return acc
 
 

@@ -2,7 +2,7 @@
 
 import random
 
-from cartcodes import Grid, MultiPoly
+from cartcodes import CartesianCode, GeneratorMatrix, Grid, MultiPoly, oracle, poly
 
 
 def random_poly(field, n, max_deg, rng: random.Random, max_terms=6, caps=None, nonzero=False):
@@ -46,3 +46,91 @@ def span_words(field, rows):
                 nxt.add(tuple(field.add(x, field.mul(c, y)) for x, y in zip(w, row)))
         words = nxt
     return words
+
+
+# -- polynomial-arithmetic reference for the field tables -----------------------
+# Element codes are base-p digit vectors over the polynomial basis, so these
+# work digit by digit, with products reduced by the field's modulus.
+
+
+def ref_digits(field, a):
+    out = []
+    for _ in range(field.e):
+        out.append(a % field.p)
+        a //= field.p
+    return out
+
+
+def ref_code(field, digits):
+    code = 0
+    for c in reversed(digits):
+        code = code * field.p + c % field.p
+    return code
+
+
+def ref_add(field, a, b):
+    p = field.p
+    return ref_code(field, [(x + y) % p for x, y in zip(ref_digits(field, a), ref_digits(field, b))])
+
+
+def ref_neg(field, a):
+    return ref_code(field, [-x % field.p for x in ref_digits(field, a)])
+
+
+def ref_mul(field, a, b):
+    p, e, mod = field.p, field.e, field.modulus
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(ref_digits(field, a)):
+        for j, y in enumerate(ref_digits(field, b)):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for i in range(2 * e - 2, e - 1, -1):  # rewrite t^i through the monic modulus
+        c = prod[i]
+        if c:
+            prod[i] = 0
+            for j in range(e):
+                prod[i - e + j] = (prod[i - e + j] - c * mod[j]) % p
+    return ref_code(field, prod[:e])
+
+
+def ref_pow(field, a, k):
+    """a^k for k >= 0 by square-and-multiply on ref_mul."""
+    out = 1
+    while k:
+        if k & 1:
+            out = ref_mul(field, out, a)
+        k >>= 1
+        a = ref_mul(field, a, a)
+    return out
+
+
+def ref_inv(field, a):
+    return ref_pow(field, a, field.q - 2)
+
+
+# -- negative control ---------------------------------------------------------------
+
+
+def inject_damaged_matrices(monkeypatch):
+    """Damage the matrices the oracles read, so verification must fail.
+
+    The rank oracle's all-monomials matrix gets its second row replaced by
+    its first (rank drops by one), and entry (0, 0) of the generator matrix
+    the scans read is shifted by one.
+    """
+    real_rows = poly.monomial_rows
+    real_matrix = CartesianCode.generator_matrix
+
+    def damaged_rows(grid, exps_list):
+        arr = real_rows(grid, exps_list)
+        if arr.shape[0] >= 2:
+            arr[1] = arr[0]
+        return arr
+
+    def damaged_matrix(code):
+        mat = real_matrix(code)
+        arr = mat.array.copy()
+        arr[0, 0] = (int(arr[0, 0]) + 1) % code.field.q
+        return GeneratorMatrix(mat.grid, mat.d, mat.monomials, arr)
+
+    monkeypatch.setattr(oracle, "monomial_rows", damaged_rows)
+    monkeypatch.setattr(CartesianCode, "generator_matrix", damaged_matrix)

@@ -5,7 +5,8 @@ from importlib import resources
 
 import jsonschema
 
-from cartcodes import cli
+from cartcodes import cli, dimension_formula
+from helpers import inject_damaged_matrices
 
 
 def run_cli(capsys, *argv):
@@ -170,14 +171,31 @@ def test_verify_budget_skips(capsys):
     assert by_name["min_distance"]["status"] == "skipped"
 
 
-def test_verify_corrupted_fixture_exit_1(capsys):
-    rc, out, _ = run_cli(capsys, "verify", "--q", "2", "--sets", "full,full",
-                         "--d", "1", "--corrupt-fixture")
+def test_verify_corrupted_fixture_exit_1(capsys, monkeypatch):
+    inject_damaged_matrices(monkeypatch)
+    rc, out, _ = run_cli(capsys, "verify", "--q", "2", "--sets", "full,full", "--d", "1")
     assert rc == 1
     report = json.loads(out)
     _validate(report, "verify_report")
     assert report["ok"] is False
-    assert any(c["status"] == "fail" and c["detail"] for c in report["checks"])
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name["rank_dimension"]["status"] == "fail"
+    assert by_name["rank_dimension"]["detail"] == "oracle 2 != formula 3"
+
+
+def test_verify_above_former_table_limit(capsys):
+    # q = 4099 and q = 3^7 exceed the former dense-table limit of 2048
+    for q, sets in (("4099", "{1,2},{1,2,3}"), ("2187", "{1,2},{0,5}")):
+        rc, out, _ = run_cli(capsys, "verify", "--q", q, "--sets", sets, "--dall")
+        assert rc == 0
+        report = json.loads(out)
+        _validate(report, "verify_report")
+        assert report["ok"] is True
+        for c in report["checks"]:
+            words = int(q) ** dimension_formula(report["cards"], c["d"])
+            over_budget = c["name"] in ("min_distance", "max_zeros") and words > 1 << 24
+            assert c["status"] == ("skipped" if over_budget else "pass"), c
+        assert any(c["status"] == "skipped" for c in report["checks"])
 
 
 def test_verify_usage_errors(capsys):
@@ -221,3 +239,11 @@ def test_field_cap_env_var(capsys, monkeypatch):
     monkeypatch.setenv("CARTESIAN_MAX_FIELD", "100")
     rc, _, err = run_cli(capsys, "construct", "--degrees", "2,5,9")
     assert rc == 2 and "error" in err
+
+
+def test_field_cap_env_var_malformed(capsys, monkeypatch):
+    for raw in ("abc", "0", "-3"):
+        monkeypatch.setenv("CARTESIAN_MAX_FIELD", raw)
+        rc, out, err = run_cli(capsys, "params", "--q", "5", "--sets", "full", "--d", "1")
+        assert rc == 2 and out == ""
+        assert "CARTESIAN_MAX_FIELD" in err and repr(raw) in err

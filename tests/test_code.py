@@ -313,7 +313,7 @@ def test_matrix_build_above_table_limit():
     F = make_field(4099)
     code = normalize_spec(F, [(0, 1, 4098), (2, 3)], 1)
     mat = code.generator_matrix()
-    # rows: 1, t2, t1 evaluated on the 6 points (scalar fallback path)
+    # rows: 1, t2, t1 evaluated on the 6 points; 4099 is above the former table limit
     pts = list(code.grid.points())
     assert mat.array.tolist()[0] == [1] * 6
     assert mat.array.tolist()[1] == [pt[1] for pt in pts]

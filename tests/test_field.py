@@ -2,16 +2,21 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from cartcodes import (
+    Field,
     FieldMismatchError,
+    InvalidFieldCapError,
     NotADivisorError,
     NotPrimeError,
     TooLargeError,
     make_field,
 )
-from cartcodes.field import _smallest_irreducible
+from cartcodes import field as field_module
+from cartcodes.field import _smallest_irreducible, is_prime
+from helpers import ref_add, ref_inv, ref_mul, ref_neg, ref_pow
 
 
 def _f3_quadratic_oracle():
@@ -45,6 +50,14 @@ def test_make_field_errors(monkeypatch):
     with pytest.raises(TooLargeError):
         make_field(17)
     assert make_field(13).q == 13
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-5", "1.5"])
+def test_make_field_rejects_malformed_cap(monkeypatch, raw):
+    monkeypatch.setenv("CARTESIAN_MAX_FIELD", raw)
+    with pytest.raises(InvalidFieldCapError) as exc:
+        make_field(13)
+    assert "CARTESIAN_MAX_FIELD" in str(exc.value) and repr(raw) in str(exc.value)
 
 
 def test_make_field_deterministic():
@@ -148,18 +161,72 @@ def test_subgroup_is_exact_power_filter(p, e):
         assert F.element_order(sub.generator) == k
 
 
-@pytest.mark.parametrize("p,e", [(2, 2), (3, 2), (7, 1)])
+@pytest.mark.parametrize(
+    "p,e", [(2, 1), (3, 1), (2, 2), (7, 1), (2, 3), (3, 2), (5, 2), (3, 3)]
+)
 def test_tables_match_scalar_ops(p, e):
+    """Every pair, vectorized and scalar, against polynomial arithmetic."""
     F = make_field(p, e)
     T = F.tables()
-    for a in range(F.q):
-        assert T.neg[a] == F.neg(a)
-        if a:
-            assert T.inv[a] == F.inv(a)
-        for b in range(F.q):
-            assert T.add[a, b] == F.add(a, b)
-            assert T.sub[a, b] == F.sub(a, b)
-            assert T.mul[a, b] == F.mul(a, b)
+    a = np.arange(F.q)[:, None]
+    b = np.arange(F.q)[None, :]
+    add, sub, mul = T.add(a, b), T.sub(a, b), T.mul(a, b)
+    for x in range(F.q):
+        assert T.neg[x] == F.neg(x) == ref_neg(F, x)
+        if x:
+            assert T.inv[x] == F.inv(x) == ref_inv(F, x)
+        for k in (0, 1, 2, F.q - 2, F.q + 3):
+            assert F.pow(x, k) == ref_pow(F, x, k)
+        for y in range(F.q):
+            assert add[x, y] == F.add(x, y) == ref_add(F, x, y)
+            assert sub[x, y] == F.sub(x, y) == ref_add(F, x, ref_neg(F, y))
+            assert mul[x, y] == F.mul(x, y) == ref_mul(F, x, y)
+
+
+def _is_smallest_primitive(F, g):
+    # reference: g has order q - 1 and no smaller code does
+    primes = [r for r in range(2, F.q) if (F.q - 1) % r == 0 and is_prime(r)]
+
+    def primitive(a):
+        return all(ref_pow(F, a, (F.q - 1) // r) != 1 for r in primes)
+
+    return primitive(g) and not any(primitive(a) for a in range(1, g))
+
+
+@pytest.mark.parametrize("p,e", [(4099, 1), (2, 11), (3, 7)])
+def test_tables_sampled_large_fields(p, e):
+    F = make_field(p, e)
+    T = F.tables()
+    assert _is_smallest_primitive(F, F.primitive_element())
+    rng = np.random.default_rng(F.q)
+    a, b = rng.integers(0, F.q, size=(2, 400))
+    a[:5] = 0
+    b[5:10] = 0
+    add, sub, mul = T.add(a, b), T.sub(a, b), T.mul(a, b)
+    for i, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
+        assert add[i] == F.add(x, y) == ref_add(F, x, y)
+        assert sub[i] == F.sub(x, y) == ref_add(F, x, ref_neg(F, y))
+        assert mul[i] == F.mul(x, y) == ref_mul(F, x, y)
+        assert T.neg[x] == ref_neg(F, x)
+        if x:
+            assert T.inv[x] == ref_inv(F, x)
+
+
+@pytest.mark.parametrize("p,e", [(2, 20), (max(n for n in range(2**20 - 99, 2**20) if is_prime(n)), 1)])
+def test_tables_build_at_the_cap(p, e):
+    # a private instance, so the ~90 MB of tables go away with the test
+    F = Field(p, e, make_field(p, e).modulus)
+    T = F.tables()
+    units = np.arange(1, F.q)
+    assert np.array_equal(np.sort(T.exp[: F.q - 1]), units)  # g generates the units
+    assert np.array_equal(T.exp[T.log[units]], units)
+    assert np.array_equal(T.mul(units, T.inv[units]), np.ones(F.q - 1))
+    assert not T.add(units, T.neg[units]).any()
+    rng = random.Random(F.q)
+    for _ in range(20):
+        x, y = rng.randrange(F.q), rng.randrange(F.q)
+        assert T.add(x, y) == ref_add(F, x, y)
+        assert T.mul(x, y) == ref_mul(F, x, y)
 
 
 def test_tables_spot_check_f181():
@@ -168,11 +235,14 @@ def test_tables_spot_check_f181():
     rng = random.Random(7)
     for _ in range(300):
         a, b = rng.randrange(181), rng.randrange(181)
-        assert T.add[a, b] == (a + b) % 181
-        assert T.mul[a, b] == (a * b) % 181
+        assert T.add(a, b) == (a + b) % 181
+        assert T.mul(a, b) == (a * b) % 181
 
 
-def test_tables_too_large():
+def test_tables_above_former_limit():
+    # table-backed arithmetic used to stop at q = 2048; the tables are O(q) now
+    assert not hasattr(field_module, "TABLE_LIMIT")
     F = make_field(4099)
-    with pytest.raises(TooLargeError):
-        F.tables()
+    T = F.tables()
+    assert sum(getattr(T, name).nbytes for name in ("log", "exp", "zech", "neg", "inv")) <= 100 * F.q
+    assert T.mul(4098, 4098) == 1 and T.add(4098, 1) == 0

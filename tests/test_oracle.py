@@ -12,7 +12,7 @@ from cartcodes.oracle import (
     max_zero_search,
     verify_params,
 )
-from helpers import random_grid, span_words
+from helpers import inject_damaged_matrices, random_grid, span_words
 
 
 def _full_code(p, e, cards, d):
@@ -85,8 +85,9 @@ def test_verify_params_skips_on_budget():
     assert not all(c.status == "pass" for c in report.checks)
 
 
-def test_verify_params_negative_control():
-    report = verify_params(_full_code(2, 1, (2, 2), 1), corrupt=True)
+def test_verify_params_negative_control(monkeypatch):
+    inject_damaged_matrices(monkeypatch)
+    report = verify_params(_full_code(2, 1, (2, 2), 1))
     assert not report.ok
     by_name = {c.name: c for c in report.checks}
     assert by_name["rank_dimension"].status == "fail"

@@ -186,7 +186,7 @@ def test_evaluate_on_grid_matches_scalar():
 
 
 def test_evaluate_on_grid_large_field_fallback():
-    # q above the table limit exercises the scalar path
+    # q above the former table limit: the table path against scalar evaluation
     F = make_field(4099)
     grid = Grid(F, [(0, 1, 2), (5, 7)])
     f = MultiPoly(F, 2, {(1, 1): 1, (0, 0): 4098})
