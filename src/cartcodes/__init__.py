@@ -58,6 +58,7 @@ from .grid import Grid
 from .poly import (
     MultiPoly,
     evaluate_on_grid,
+    grevlex_exponents,
     grevlex_key,
     reduce_mod_grid,
     vanishing_univariate,

@@ -7,8 +7,17 @@ multiplied by a nonzero scalar, so only messages whose last nonzero digit is
 no field arithmetic: the weight of W[r] + h is the number of positions where
 W[r] differs from -h.  method="naive" re-encodes all q^K messages from
 scratch and serves as the differential reference; "auto" and "numpy" select
-the fast kernel.  All kernels work on int64 element codes through the
-field's vectorized FieldTables operations, so they are field-agnostic.
+the fast kernel.
+
+Rank is one swap-free Gaussian elimination: in each column the pivot is the
+live row of lowest index, and the other live rows are updated from the next
+column on, with the pivot row held as logarithms.  Because no row ever moves,
+the same elimination gives the rank of every row prefix M[:R]; the rank
+oracle uses this to read dim C_d at every degree d from one matrix, whose
+degree <= d monomials are its first C(n + d, n) rows.
+
+All kernels work on int64 element codes through the field's vectorized
+FieldTables operations, so they are field-agnostic.
 """
 
 from __future__ import annotations
@@ -121,39 +130,61 @@ def _scan_naive(G, tables, chunk=4096) -> int:
 
 
 # ---------------------------------------------------------------------------
-# rank over F_q by Gaussian elimination on codes
+# rank over F_q: one elimination gives the rank of every row prefix
 # ---------------------------------------------------------------------------
 
 
-def rank_mod(M, tables, *, method="auto") -> int:
-    """Row rank of M over the field described by the tables."""
-    M = np.array(M, dtype=np.int64, copy=True)
-    if M.size == 0:
-        return 0
+def rank_mod(M, tables, *, method="auto", prefixes=None):
+    """Row rank of M over the field described by the tables.
+
+    With `prefixes`, a sequence of row counts R, the result is instead the
+    list of rank(M[:R]) for each R, read off the same single elimination.
+    """
     _check_method(method)  # one rank kernel serves every method
-    return _rank_numpy(M, tables)
+    M = np.array(M, dtype=np.int64, copy=True)
+    pivots = _pivot_rows(M, tables) if M.size else np.zeros(0, dtype=np.int64)
+    if prefixes is None:
+        return int(pivots.size)
+    return [int(r) for r in np.searchsorted(pivots, prefixes)]
 
 
-def _rank_numpy(M, tables) -> int:
+def _pivot_rows(M, tables) -> np.ndarray:
+    """Sorted indices of the pivot rows of a swap-free elimination of M (in place).
+
+    The pivot of column c is the live row of lowest index that is nonzero
+    there; it retires, and every other live row nonzero in c gets a multiple
+    of it added from column c + 1 on (the entries up to c are never read
+    again).  A row of index >= R becomes a pivot only when every live row
+    below R is zero in that column, and then it changes none of them, so the
+    first R rows are eliminated exactly as they would be on their own:
+    rank(M[:R]) is the number of pivots below R.
+    """
     rows, cols = M.shape
-    chunk = max(1, RANK_CHUNK_ENTRIES // cols)
-    r = 0
+    n = tables.q - 1
+    log, exp, z = tables.log, tables.exp, tables.sentinel
+    shift = 0 if tables.p == 2 else n // 2  # log(-1)
+    live = np.arange(rows)
+    pivots = []
     for c in range(cols):
-        nz = np.flatnonzero(M[r:, c])
+        nz = M[live, c].nonzero()[0]
         if nz.size == 0:
             continue
-        piv = r + int(nz[0])
-        if piv != r:
-            M[[r, piv]] = M[[piv, r]]
-        M[r] = tables.mul(tables.inv[M[r, c]], M[r])
-        pivot_row = M[r][None, :]
-        rest = M[r + 1 :]
-        hit = np.flatnonzero(rest[:, c])
+        k = nz[0]
+        piv = live[k]
+        pivots.append(piv)
+        hit = live[nz[1:]]
+        live = np.concatenate((live[:k], live[k + 1 :]))
+        if hit.size == 0 or c == cols - 1:
+            continue
+        # log(-row / row[c]) of the pivot row; zero entries keep the sentinel
+        prow = M[piv, c + 1 :]
+        lrow = (log[prow] - log[M[piv, c]] + shift) % n
+        lrow[prow == 0] = z
+        chunk = max(1, RANK_CHUNK_ENTRIES // lrow.size)
         for s in range(0, hit.size, chunk):  # bounded temporaries
             sel = hit[s : s + chunk]
-            block = rest[sel]
-            rest[sel] = tables.sub(block, tables.mul(block[:, c][:, None], pivot_row))
-        r += 1
-        if r == rows:
+            scaled = exp[log[M[sel, c]][:, None] + lrow[None, :]]
+            M[sel, c + 1 :] = tables.add(M[sel, c + 1 :], scaled)
+        if live.size == 0:
             break
-    return r
+    return np.sort(np.array(pivots, dtype=np.int64))

@@ -179,7 +179,7 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .oracle import OracleBudget, verify_params
+    from .oracle import OracleBudget, verify_degrees
 
     if (args.d is None) == (not args.dall):
         raise ValueError("give exactly one of --d or --dall")
@@ -190,17 +190,9 @@ def cmd_verify(args) -> int:
         degrees = range(0, regularity(grid.normalized()[0].cards) + 1)
     else:
         degrees = [args.d]
-    checks = []
-    ok = True
-    qval, cards = field.q, None
-    for d in degrees:
-        code = CartesianCode(grid, d)
-        cards = code.cards
-        report = verify_params(code, budget)
-        checks.extend(c.to_dict() for c in report.checks)
-        ok = ok and report.ok
-    print(json.dumps({"q": qval, "cards": list(cards), "checks": checks, "ok": ok}))
-    return 0 if ok else 1
+    report = verify_degrees(grid, degrees, budget)
+    print(json.dumps(report.to_dict()))
+    return 0 if report.ok else 1
 
 
 def cmd_construct(args) -> int:

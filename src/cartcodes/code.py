@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 from .errors import LengthMismatchError, OutOfRangeError
 from .field import Field
 from .grid import Grid
-from .poly import MultiPoly, evaluate_on_grid, grevlex_key, monomial_rows
+from .poly import MultiPoly, evaluate_on_grid, grevlex_exponents, monomial_rows
 
 
 class KLDecomposition(NamedTuple):
@@ -179,10 +179,7 @@ def code_params(cards, d: int) -> CodeParams:
 
 def standard_monomials(cards, d: int) -> list[tuple[int, ...]]:
     """Footprint monomials: a_i <= cards_i - 1 and |a| <= d, ascending grevlex."""
-    ranges = [range(min(c - 1, d) + 1) for c in cards]
-    exps = [e for e in product(*ranges) if sum(e) <= d]
-    exps.sort(key=grevlex_key)
-    return exps
+    return list(grevlex_exponents([c - 1 for c in cards], d))
 
 
 class GeneratorMatrix:
@@ -207,8 +204,10 @@ class GeneratorMatrix:
     def format(self) -> str:
         """Matrix file body: 'q n_rows n_cols' then one row of codes per line."""
         lines = [f"{self.grid.field.q} {self.rows} {self.cols}"]
-        for row in self.array:
-            lines.append(" ".join(str(int(x)) for x in row))
+        if self.array.size:
+            # one string per code, looked up a row at a time to bound temporaries
+            strs = np.array([str(c) for c in range(int(self.array.max()) + 1)], dtype=object)
+            lines += [" ".join(strs[row].tolist()) for row in self.array]
         return "\n".join(lines) + "\n"
 
     def legend(self) -> str:

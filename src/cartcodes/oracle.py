@@ -3,14 +3,20 @@
 Every oracle enumerates exhaustively and is independent of the closed-form
 parameter formulas; budget overruns raise (or are reported as skipped by
 verify_params) and never count as a pass.
+
+The rank oracle is a prefix-rank profile: the monomials of degree <= d are
+the first C(n + d, n) rows of the grevlex-ordered all-monomials matrix of any
+higher degree, so one swap-free elimination of the top-degree matrix gives
+rank(C_d) for every d at once (rank_profile).  verify_degrees uses it to
+check a whole chain C_0, C_1, ... with one elimination per grid.
 """
 
 from __future__ import annotations
 
+import math
 import time
 import weakref
 from dataclasses import dataclass, field as dataclass_field
-from itertools import product
 
 import numpy as np
 
@@ -22,7 +28,8 @@ from .code import (
     min_distance_formula,
 )
 from .errors import BudgetExceededError
-from .poly import grevlex_key, monomial_rows
+from .grid import Grid
+from .poly import grevlex_exponents, monomial_rows
 
 
 @dataclass(frozen=True)
@@ -107,26 +114,44 @@ def brute_rank_dimension(
     """Rank over F_q of the evaluations of ALL monomials of degree <= d.
 
     Unlike the generator matrix this does not restrict to footprint
-    monomials, so equality with dimension_formula is a real check.
+    monomials, so equality with dimension_formula is a real check.  It is
+    the one-degree case of rank_profile.
     """
-    budget = budget or DEFAULT_BUDGET
-    arr = _full_monomial_matrix(code, budget)
-    return _kernels.rank_mod(arr, code.field.tables(), method=method)
+    return rank_profile(code.grid, code.d, budget, method=method)[code.d]
 
 
-def _full_monomial_matrix(code: CartesianCode, budget) -> np.ndarray:
-    grid = code.grid
+def rank_profile(
+    grid: Grid,
+    dmax: int,
+    budget: OracleBudget | None = None,
+    *,
+    method: str = "auto",
+) -> list[int]:
+    """ranks[d] = rank over F_q of all monomials of degree <= d on the grid, d = 0..dmax.
+
+    In ascending grevlex order the C(n + d, n) monomials of degree <= d are
+    the first rows of the all-monomials matrix of degree dmax, so one
+    elimination of that matrix gives every ranks[d] as a prefix rank (see
+    _kernels.rank_mod).  The budget for dmax is checked before anything is
+    enumerated.
+    """
+    err = _rank_budget_error(grid, dmax, budget or DEFAULT_BUDGET)
+    if err:
+        raise err
+    n = grid.n
+    arr = monomial_rows(grid, list(grevlex_exponents([dmax] * n, dmax)))
+    prefixes = [math.comb(n + d, n) for d in range(dmax + 1)]
+    return _kernels.rank_mod(arr, grid.field.tables(), method=method, prefixes=prefixes)
+
+
+def _rank_budget_error(grid: Grid, d: int, budget: OracleBudget) -> BudgetExceededError | None:
+    """The overrun of the degree-d all-monomials matrix, if any, by arithmetic alone."""
     if grid.size > budget.max_points:
-        raise BudgetExceededError(required=grid.size, limit=budget.max_points)
-    exps = [
-        e
-        for e in product(*(range(code.d + 1) for _ in range(grid.n)))
-        if sum(e) <= code.d
-    ]
-    if len(exps) * grid.size > MAX_RANK_ENTRIES:
-        raise BudgetExceededError(required=len(exps) * grid.size, limit=MAX_RANK_ENTRIES)
-    exps.sort(key=grevlex_key)
-    return monomial_rows(grid, exps)
+        return BudgetExceededError(required=grid.size, limit=budget.max_points)
+    entries = math.comb(grid.n + d, grid.n) * grid.size
+    if entries > MAX_RANK_ENTRIES:
+        return BudgetExceededError(required=entries, limit=MAX_RANK_ENTRIES)
+    return None
 
 
 @dataclass
@@ -175,11 +200,14 @@ def verify_params(
     budget: OracleBudget | None = None,
     *,
     method: str = "auto",
+    rank_of=None,
 ) -> VerifyReport:
     """Compare closed-form parameters against the brute-force oracles.
 
     Budget overruns mark a check as skipped, never passed; a failure's detail
-    carries the witnessing values.
+    carries the witnessing values.  `rank_of(d)`, when given, answers the
+    rank check in place of brute_rank_dimension (verify_degrees passes one
+    that reads a rank profile shared by every degree of the grid).
     """
     budget = budget or DEFAULT_BUDGET
     report = VerifyReport(q=code.field.q, cards=code.cards)
@@ -208,8 +236,9 @@ def verify_params(
             )
 
     def rank_oracle():
-        arr = _full_monomial_matrix(code, budget)
-        return _kernels.rank_mod(arr, code.field.tables(), method=method)
+        if rank_of is None:
+            return brute_rank_dimension(code, budget, method=method)
+        return rank_of(d)
 
     def min_weight_oracle():
         # the second call is answered from _FULL_SCANS unless method is set
@@ -224,4 +253,41 @@ def verify_params(
             delta,
             lambda: int(np.count_nonzero(extremal_codeword(code)[1])),
         )
+    return report
+
+
+def verify_degrees(
+    grid: Grid,
+    degrees,
+    budget: OracleBudget | None = None,
+    *,
+    method: str = "auto",
+) -> VerifyReport:
+    """verify_params at each degree in turn, with one rank elimination for the grid.
+
+    The rank checks read one rank_profile, built at the largest of the
+    degrees whose all-monomials matrix fits the budget; a degree over budget
+    is skipped with the same BudgetExceededError that verify_params gives it
+    alone.  The profile is built by the first rank check that is not skipped,
+    so that check's elapsed carries the whole shared elimination and the
+    later rank checks' elapsed only a lookup.  The report lists the checks of
+    every degree in order; its cards are those of the normalized grid.
+    """
+    budget = budget or DEFAULT_BUDGET
+    codes = [CartesianCode(grid, d) for d in degrees]
+    norm = grid.normalized()[0]
+    fits = [d for d in degrees if _rank_budget_error(norm, d, budget) is None]
+    ranks: list[int] = []
+
+    def rank_of(d):
+        err = _rank_budget_error(norm, d, budget)
+        if err:
+            raise err
+        if not ranks:
+            ranks.extend(rank_profile(norm, max(fits), budget, method=method))
+        return ranks[d]
+
+    report = VerifyReport(q=grid.field.q, cards=norm.cards)
+    for code in codes:
+        report.checks.extend(verify_params(code, budget, method=method, rank_of=rank_of).checks)
     return report

@@ -22,6 +22,29 @@ def grevlex_key(exps):
     return (sum(exps), tuple(-a for a in reversed(exps)))
 
 
+def grevlex_exponents(caps, d: int):
+    """Yield the exponent vectors with a_i <= caps[i] and |a| <= d, ascending grevlex.
+
+    Within one total degree the order is descending in a_n, then a_(n-1), and
+    so on, with a_1 taking what is left; each exponent is drawn only from the
+    range that can still be completed, so nothing outside the bounds is built.
+    """
+    caps = tuple(caps)
+    room = [0]  # room[i]: largest total the first i exponents can reach
+    for c in caps:
+        room.append(room[-1] + c)
+
+    def fill(i, rem, tail):
+        if i == 0:
+            yield (rem,) + tail
+            return
+        for a in range(min(caps[i], rem), max(0, rem - room[i]) - 1, -1):
+            yield from fill(i - 1, rem - a, (a,) + tail)
+
+    for s in range(min(d, room[-1]) + 1):
+        yield from fill(len(caps) - 1, s, ())
+
+
 _FACTOR = re.compile(r"^t(\d+)(?:\^(\d+))?$")
 
 # Matrix entries computed at once by monomial_rows; bounds its temporaries.

@@ -4,8 +4,9 @@ import json
 from importlib import resources
 
 import jsonschema
+import pytest
 
-from cartcodes import cli, dimension_formula
+from cartcodes import cli, dimension_formula, oracle
 from helpers import inject_damaged_matrices
 
 
@@ -181,6 +182,45 @@ def test_verify_corrupted_fixture_exit_1(capsys, monkeypatch):
     by_name = {c["name"]: c for c in report["checks"]}
     assert by_name["rank_dimension"]["status"] == "fail"
     assert by_name["rank_dimension"]["detail"] == "oracle 2 != formula 3"
+
+
+def test_verify_dall_negative_control(capsys, monkeypatch):
+    inject_damaged_matrices(monkeypatch)
+    rc, out, _ = run_cli(capsys, "verify", "--q", "2", "--sets", "full,full", "--dall")
+    assert rc == 1
+    report = json.loads(out)
+    _validate(report, "verify_report")
+    rank = {c["d"]: c for c in report["checks"] if c["name"] == "rank_dimension"}
+    assert rank[0]["status"] == "pass"  # the damage sits in row 1, outside the d = 0 prefix
+    assert rank[1]["status"] == "fail"
+    assert rank[1]["detail"] == "oracle 2 != formula 3"
+
+
+@pytest.mark.parametrize("q,sets", [("3", "full,full"), ("4", "{0,1},full")])
+def test_verify_dall_matches_each_degree(capsys, monkeypatch, q, sets):
+    # a small rank cap sends the higher degrees down the rank-skip branch
+    monkeypatch.setattr(oracle, "MAX_RANK_ENTRIES", 60)
+
+    def checks(*argv):
+        rc, out, _ = run_cli(capsys, "verify", "--q", q, "--sets", sets, *argv)
+        report = json.loads(out)
+        _validate(report, "verify_report")
+        for c in report["checks"]:
+            del c["elapsed"]
+        return rc, report
+
+    rc, dall = checks("--dall")
+    assert rc == 0 and dall["ok"] is True
+    degrees = sorted({c["d"] for c in dall["checks"]})
+    assert degrees == list(range(sum(c - 1 for c in dall["cards"]) + 1))
+    per_degree = []
+    for d in degrees:
+        rc, one = checks("--d", str(d))
+        assert rc == 0 and one["q"] == dall["q"] and one["cards"] == dall["cards"]
+        per_degree += one["checks"]
+    assert dall["checks"] == per_degree
+    rank = [c for c in dall["checks"] if c["name"] == "rank_dimension"]
+    assert {c["status"] for c in rank} == {"pass", "skipped"}
 
 
 def test_verify_above_former_table_limit(capsys):

@@ -80,3 +80,46 @@ def test_unknown_method_rejected():
     F = make_field(2)
     with pytest.raises(ValueError):
         _kernels.scan_min_weight(np.ones((1, 2), dtype=np.int64), F.tables(), method="bogus")
+
+
+def _prefix_test_matrix(F, rng):
+    """Random rows plus zero, repeated and scaled rows, with a late first nonzero.
+
+    Column 0 is zero in every row but the last, so the pivot of column 0 comes
+    from the last row while earlier rows are still live.
+    """
+    cols = rng.randint(2, 6)
+    base = _random_rows(F, rng.randint(1, 4), cols, rng).tolist()
+    rows = []
+    for _ in range(rng.randint(2, 9)):
+        kind = rng.randrange(4)
+        if kind == 0 or not rows:
+            rows.append(list(rng.choice(base)))
+        elif kind == 1:
+            rows.append([0] * cols)
+        elif kind == 2:
+            rows.append(list(rng.choice(rows)))
+        else:
+            c = rng.randrange(1, F.q)
+            rows.append([F.mul(c, x) for x in rng.choice(rows)])
+    for row in rows:
+        row[0] = 0
+    rows.append([rng.randrange(1, F.q)] + [rng.randrange(F.q) for _ in range(cols - 1)])
+    return np.array(rows, dtype=np.int64)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_rank_prefix_profile(p, e):
+    F = make_field(p, e)
+    T = F.tables()
+    rng = random.Random(300 * p + e)
+    for trial in range(12):
+        M = _prefix_test_matrix(F, rng) if trial % 2 else _random_rows(
+            F, rng.randint(1, 7), rng.randint(1, 6), rng)
+        counts = list(range(M.shape[0] + 1))
+        profile = _kernels.rank_mod(M, T, prefixes=counts)
+        assert profile == [_kernels.rank_mod(M[:R], T) for R in counts]
+        assert profile[-1] == _kernels.rank_mod(M, T)
+        for R in counts[1:]:
+            if F.q ** min(R, M.shape[1]) <= 1 << 10:  # span sizes stay small
+                assert len(span_words(F, M[:R].tolist())) == F.q ** profile[R]

@@ -1,15 +1,18 @@
 """Brute-force oracles: examples, budgets, verification reports."""
 
 import random
+from math import comb
 
 import pytest
 
-from cartcodes import BudgetExceededError, make_field, normalize_spec
+from cartcodes import BudgetExceededError, make_field, normalize_spec, oracle
 from cartcodes.oracle import (
     OracleBudget,
     brute_min_distance,
     brute_rank_dimension,
     max_zero_search,
+    rank_profile,
+    verify_degrees,
     verify_params,
 )
 from helpers import inject_damaged_matrices, random_grid, span_words
@@ -65,6 +68,47 @@ def test_budget_exceeded_points():
     code = _full_code(3, 1, (3, 3), 1)
     with pytest.raises(BudgetExceededError):
         brute_rank_dimension(code, OracleBudget(max_points=4))
+
+
+def test_rank_budget_checked_before_enumeration(monkeypatch):
+    code = _full_code(3, 1, (3, 3), 2)  # C(4, 2) = 6 monomials on 9 points
+    required = comb(code.grid.n + code.d, code.grid.n) * code.length
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated before the budget check")
+
+    monkeypatch.setattr(oracle, "monomial_rows", refuse)
+    monkeypatch.setattr(oracle, "grevlex_exponents", refuse)
+    monkeypatch.setattr(oracle, "MAX_RANK_ENTRIES", required - 1)
+    with pytest.raises(BudgetExceededError) as exc:
+        brute_rank_dimension(code)
+    assert exc.value.required == required == 54
+    assert exc.value.limit == required - 1
+    by_name = {c.name: c for c in verify_params(code).checks}
+    assert by_name["rank_dimension"].status == "skipped"
+    assert by_name["rank_dimension"].detail == str(exc.value)
+
+
+def test_rank_profile_matches_each_degree():
+    F9 = make_field(3, 2)
+    code = normalize_spec(F9, [F9.subgroup_of_order(4).elements, range(5)], 0)
+    top = code.regularity
+    profile = rank_profile(code.grid, top)
+    assert len(profile) == top + 1
+    for d in range(top + 1):
+        one = normalize_spec(F9, code.grid.sets, d)
+        assert profile[d] == brute_rank_dimension(one) == one.dimension
+
+
+def test_verify_degrees_skips_per_degree(monkeypatch):
+    code = _full_code(3, 1, (3, 3), 0)
+    monkeypatch.setattr(oracle, "MAX_RANK_ENTRIES", 60)  # degrees 0..2 fit, 3 and 4 do not
+    report = verify_degrees(code.grid, range(5))
+    rank = [c for c in report.checks if c.name == "rank_dimension"]
+    assert [c.status for c in rank] == ["pass"] * 3 + ["skipped"] * 2
+    for c in rank[3:]:
+        alone = verify_params(normalize_spec(code.field, code.grid.sets, c.d)).checks[0]
+        assert alone.name == "rank_dimension" and alone.detail == c.detail
 
 
 def test_verify_params_all_pass():

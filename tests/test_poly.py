@@ -1,6 +1,7 @@
 """Polynomials: evaluation, text format, grid reduction, zero counting."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -11,6 +12,8 @@ from cartcodes import (
     Grid,
     MultiPoly,
     evaluate_on_grid,
+    grevlex_exponents,
+    grevlex_key,
     loose_zero_bound,
     make_field,
     reduce_mod_grid,
@@ -213,3 +216,12 @@ def test_loose_zero_bound_respected():
         for _ in range(50):
             f = random_poly(F, grid.n, 4, rng, nonzero=True)
             assert zero_count(f, grid) <= loose_zero_bound(grid.cards, f.total_degree)
+
+
+def test_grevlex_exponents_match_sorted_box():
+    rng = random.Random(5)
+    for _ in range(300):
+        caps = [rng.randint(0, 5) for _ in range(rng.randint(1, 4))]
+        d = rng.randint(0, 14)
+        box = [e for e in product(*(range(c + 1) for c in caps)) if sum(e) <= d]
+        assert list(grevlex_exponents(caps, d)) == sorted(box, key=grevlex_key)
