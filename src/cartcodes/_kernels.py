@@ -5,9 +5,8 @@ projective point: a word's weight does not change when its message is
 multiplied by a nonzero scalar, so only messages whose last nonzero digit is
 1 are encoded, (q^K - 1)/(q - 1) words instead of q^K.  Its inner loop does
 no field arithmetic: the weight of W[r] + h is the number of positions where
-W[r] differs from -h.  method="naive" re-encodes all q^K messages from
-scratch and serves as the differential reference; "auto" and "numpy" select
-the fast kernel.
+W[r] differs from -h.  scan_min_weight_naive re-encodes all q^K messages
+from scratch; the tests use it as the differential reference.
 
 Rank is one swap-free Gaussian elimination: in each column the pivot is the
 live row of lowest index, and the other live rows are updated from the next
@@ -24,16 +23,9 @@ from __future__ import annotations
 
 import numpy as np
 
-METHODS = ("auto", "numpy", "naive")
-
 # Matrix entries per elimination update in rank_mod; bounds the temporaries
 # of the table arithmetic on large matrices.
 RANK_CHUNK_ENTRIES = 1 << 15
-
-
-def _check_method(method: str) -> None:
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -41,33 +33,22 @@ def _check_method(method: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def scan_min_weight(G, tables, *, target=None, method="auto", block_digits=None) -> int:
+def scan_min_weight(G, tables, *, target=None) -> int:
     """Minimum positive Hamming weight over all q^K combinations of the rows of G.
 
     The all-zero word is ignored.  `target` permits early exit once the
     running minimum reaches it (confirm mode); None forces a complete pass.
-    `block_digits` tunes the fast kernel's block size and never changes the
-    result.
     """
-    G = np.ascontiguousarray(np.asarray(G, dtype=np.int64))
-    tgt = -1 if target is None else int(target)
-    _check_method(method)
-    if method == "naive":
-        return _scan_naive(G, tables)
-    return _scan_numpy(G, tables, tgt, block_digits)
-
-
-def _scan_numpy(G, tables, target, block_digits=None) -> int:
     # Message m = (m_0, ..., m_{K-1}) encodes sum_i m_i G[i].  Every nonzero
     # message is a unique scalar multiple of one whose last nonzero digit m_t
     # is 1, i.e. G[t] plus any combination of the rows below t.  Those
     # combinations are the block W of the first j rows (grown in place for
     # t < j) plus, for t >= j, an odometer over the high digits below t.
+    G = np.ascontiguousarray(np.asarray(G, dtype=np.int64))
+    target = -1 if target is None else int(target)
     K, L = G.shape
     q = tables.q
-    if block_digits is None:
-        block_digits = max(1, int(13 / np.log2(q)))
-    j = min(K, block_digits)
+    j = min(K, max(1, int(13 / np.log2(q))))  # a block of at most max(q, 2^13) words
     codes = np.arange(q, dtype=np.int64)[:, None]
     best = L + 1
 
@@ -109,13 +90,19 @@ def _scan_numpy(G, tables, target, block_digits=None) -> int:
     return best
 
 
-def _scan_naive(G, tables, chunk=4096) -> int:
-    """Re-encodes every message from scratch; differential reference path."""
+def scan_min_weight_naive(G, tables) -> int:
+    """scan_min_weight by re-encoding every one of the q^K messages from scratch.
+
+    The differential reference for the fast scan: no blocks, no projective
+    reduction and no early exit.
+    """
+    G = np.asarray(G, dtype=np.int64)
     K, L = G.shape
     q = tables.q
     total = q**K
     powers = q ** np.arange(K, dtype=np.int64)
     best = L + 1
+    chunk = 4096  # messages re-encoded at once
     for start in range(1, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
         digits = (idx[:, None] // powers[None, :]) % q
@@ -134,14 +121,15 @@ def _scan_naive(G, tables, chunk=4096) -> int:
 # ---------------------------------------------------------------------------
 
 
-def rank_mod(M, tables, *, method="auto", prefixes=None):
+def rank_mod(M, tables, *, prefixes=None):
     """Row rank of M over the field described by the tables.
 
     With `prefixes`, a sequence of row counts R, the result is instead the
     list of rank(M[:R]) for each R, read off the same single elimination.
+    M is consumed: an int64 array is eliminated in place, so a caller that
+    needs the matrix afterwards passes a copy.
     """
-    _check_method(method)  # one rank kernel serves every method
-    M = np.array(M, dtype=np.int64, copy=True)
+    M = np.asarray(M, dtype=np.int64)
     pivots = _pivot_rows(M, tables) if M.size else np.zeros(0, dtype=np.int64)
     if prefixes is None:
         return int(pivots.size)

@@ -14,21 +14,17 @@ import sys
 
 from .code import CartesianCode, code_params, regularity
 from .errors import CartesianCodeError
-from .field import factorize, make_field
+from .field import field_for_order
 from .grid import Grid
 
 _REPEAT = re.compile(r"^(.+?)\s*[x×*]\s*(\d+)$")
 
 
 def _resolve_field(q: int, ext):
-    fs = factorize(q) if q >= 2 else {}
-    if len(fs) != 1:
-        raise ValueError(f"{q} is not a prime power")
-    [(p, e)] = fs.items()
-    if ext not in (None, "auto"):
-        if int(ext) != e:
-            raise ValueError(f"q = {q} is {p}^{e}, not an extension of degree {ext}")
-    return make_field(p, e)
+    field = field_for_order(q)
+    if ext not in (None, "auto") and int(ext) != field.e:
+        raise ValueError(f"q = {q} is {field.p}^{field.e}, not an extension of degree {ext}")
+    return field
 
 
 def _split_top_level(text: str) -> list[str]:

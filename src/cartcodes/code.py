@@ -17,7 +17,13 @@ import numpy as np
 from .errors import LengthMismatchError, OutOfRangeError
 from .field import Field
 from .grid import Grid
-from .poly import MultiPoly, evaluate_on_grid, grevlex_exponents, monomial_rows
+from .poly import (
+    MultiPoly,
+    _monic_root_product,
+    evaluate_on_grid,
+    grevlex_exponents,
+    monomial_rows,
+)
 
 
 class KLDecomposition(NamedTuple):
@@ -313,18 +319,29 @@ def extremal_codeword(code: CartesianCode):
     ell elements of set k+1 (element lists consumed in sorted-code order, so
     the output is reproducible).  Its total degree is exactly d and the
     weight of its evaluation vector is exactly the formula distance.
+
+    Each of the first k+1 coordinates contributes one univariate factor, so
+    the terms are the products of the factors' coefficients, and the word, in
+    grid.points() order, is the outer product of the factors' values on their
+    sets, repeated over the points of the remaining coordinates.
     """
     grid = code.grid
     k, ell = decompose_k_ell(grid.cards, code.d)
     F = grid.field
-    n = grid.n
-    poly = MultiPoly.constant(F, n, 1)
-    minus_one = F.neg(1)
-    for i in range(k + 1):
+    T = F.tables()
+    terms = {(): 1}
+    vec = np.ones(1, dtype=np.int64)
+    for i, s in enumerate(grid.sets[: k + 1]):
         count = grid.cards[i] - 1 if i < k else ell
-        unit = tuple(1 if j == i else 0 for j in range(n))
-        for j in range(count):
-            c = grid.sets[i][j]
-            poly = poly * MultiPoly(F, n, {(0,) * n: c, unit: minus_one})
-    vec = evaluate_on_grid(poly, grid)
-    return poly, vec
+        coeffs = _monic_root_product(F, s[:count])  # prod (t - c) = (-1)^count prod (c - t)
+        if count % 2:
+            coeffs = [F.neg(c) for c in coeffs]
+        terms = {e + (a,): F.mul(c, b) for e, c in terms.items()
+                 for a, b in enumerate(coeffs) if b}
+        factor = MultiPoly(F, 1, {(a,): b for a, b in enumerate(coeffs)})
+        vals = evaluate_on_grid(factor, Grid(F, [s]))
+        vec = T.mul(vec[:, None], vals[None, :]).reshape(-1)
+    # the coordinates after k have the factor 1
+    pad = (0,) * (grid.n - k - 1)
+    poly = MultiPoly(F, grid.n, {e + pad: c for e, c in terms.items()})
+    return poly, np.repeat(vec, math.prod(grid.cards[k + 1 :]))

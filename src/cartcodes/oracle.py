@@ -52,21 +52,20 @@ DEFAULT_BUDGET = OracleBudget()
 MAX_RANK_ENTRIES = 1 << 26
 
 
-# Complete default-method scans, one per live code object.  Keyed weakly so
-# the answer goes away with the code.
+# Complete scans, one per live code object.  Keyed weakly so the answer goes
+# away with the code.
 _FULL_SCANS: weakref.WeakKeyDictionary[CartesianCode, int] = weakref.WeakKeyDictionary()
 
 
-def _min_weight(code: CartesianCode, budget, *, target=None, method="auto") -> int:
+def _min_weight(code: CartesianCode, budget, *, target=None) -> int:
     mat = code.generator_matrix()
     total = code.field.q ** mat.rows
     if total > budget.max_words:
         raise BudgetExceededError(required=total, limit=budget.max_words)
-    shared = target is None and method == "auto"
-    if shared and code in _FULL_SCANS:
+    if target is None and code in _FULL_SCANS:
         return _FULL_SCANS[code]
-    w = _kernels.scan_min_weight(mat.array, code.field.tables(), target=target, method=method)
-    if shared:
+    w = _kernels.scan_min_weight(mat.array, code.field.tables(), target=target)
+    if target is None:
         _FULL_SCANS[code] = w
     return w
 
@@ -76,57 +75,40 @@ def brute_min_distance(
     budget: OracleBudget | None = None,
     *,
     confirm_only: bool = False,
-    method: str = "auto",
 ) -> int:
     """Minimum weight over every nonzero message, by exhaustive encoding.
 
     confirm_only allows the scan to stop once the running minimum reaches the
     closed-form distance; the default is a complete, formula-independent pass.
-    Complete default-method scans are cached per code object, after the
-    budget check, so an over-budget call raises even when an answer is cached.
+    Complete scans are cached per code object, after the budget check, so an
+    over-budget call raises even when an answer is cached.
     """
     budget = budget or DEFAULT_BUDGET
     target = min_distance_formula(code.cards, code.d) if confirm_only else None
-    return _min_weight(code, budget, target=target, method=method)
+    return _min_weight(code, budget, target=target)
 
 
-def max_zero_search(
-    code: CartesianCode,
-    budget: OracleBudget | None = None,
-    *,
-    method: str = "auto",
-) -> int:
+def max_zero_search(code: CartesianCode, budget: OracleBudget | None = None) -> int:
     """Maximum number of grid zeros over nonzero normal-form polynomials of degree <= d.
 
     Messages over the footprint basis are exactly those polynomials, and a
     word's zero count is length - weight, so the full scan behind
     brute_min_distance answers this too.
     """
-    return code.length - brute_min_distance(code, budget, method=method)
+    return code.length - brute_min_distance(code, budget)
 
 
-def brute_rank_dimension(
-    code: CartesianCode,
-    budget: OracleBudget | None = None,
-    *,
-    method: str = "auto",
-) -> int:
+def brute_rank_dimension(code: CartesianCode, budget: OracleBudget | None = None) -> int:
     """Rank over F_q of the evaluations of ALL monomials of degree <= d.
 
     Unlike the generator matrix this does not restrict to footprint
     monomials, so equality with dimension_formula is a real check.  It is
     the one-degree case of rank_profile.
     """
-    return rank_profile(code.grid, code.d, budget, method=method)[code.d]
+    return rank_profile(code.grid, code.d, budget)[code.d]
 
 
-def rank_profile(
-    grid: Grid,
-    dmax: int,
-    budget: OracleBudget | None = None,
-    *,
-    method: str = "auto",
-) -> list[int]:
+def rank_profile(grid: Grid, dmax: int, budget: OracleBudget | None = None) -> list[int]:
     """ranks[d] = rank over F_q of all monomials of degree <= d on the grid, d = 0..dmax.
 
     In ascending grevlex order the C(n + d, n) monomials of degree <= d are
@@ -141,7 +123,7 @@ def rank_profile(
     n = grid.n
     arr = monomial_rows(grid, list(grevlex_exponents([dmax] * n, dmax)))
     prefixes = [math.comb(n + d, n) for d in range(dmax + 1)]
-    return _kernels.rank_mod(arr, grid.field.tables(), method=method, prefixes=prefixes)
+    return _kernels.rank_mod(arr, grid.field.tables(), prefixes=prefixes)
 
 
 def _rank_budget_error(grid: Grid, d: int, budget: OracleBudget) -> BudgetExceededError | None:
@@ -199,7 +181,6 @@ def verify_params(
     code: CartesianCode,
     budget: OracleBudget | None = None,
     *,
-    method: str = "auto",
     rank_of=None,
 ) -> VerifyReport:
     """Compare closed-form parameters against the brute-force oracles.
@@ -237,12 +218,12 @@ def verify_params(
 
     def rank_oracle():
         if rank_of is None:
-            return brute_rank_dimension(code, budget, method=method)
+            return brute_rank_dimension(code, budget)
         return rank_of(d)
 
     def min_weight_oracle():
-        # the second call is answered from _FULL_SCANS unless method is set
-        return _min_weight(code, budget, method=method)
+        # the second call is answered from _FULL_SCANS
+        return _min_weight(code, budget)
 
     run("rank_dimension", dim, rank_oracle)
     run("min_distance", delta, min_weight_oracle)
@@ -256,13 +237,7 @@ def verify_params(
     return report
 
 
-def verify_degrees(
-    grid: Grid,
-    degrees,
-    budget: OracleBudget | None = None,
-    *,
-    method: str = "auto",
-) -> VerifyReport:
+def verify_degrees(grid: Grid, degrees, budget: OracleBudget | None = None) -> VerifyReport:
     """verify_params at each degree in turn, with one rank elimination for the grid.
 
     The rank checks read one rank_profile, built at the largest of the
@@ -284,10 +259,10 @@ def verify_degrees(
         if err:
             raise err
         if not ranks:
-            ranks.extend(rank_profile(norm, max(fits), budget, method=method))
+            ranks.extend(rank_profile(norm, max(fits), budget))
         return ranks[d]
 
     report = VerifyReport(q=grid.field.q, cards=norm.cards)
     for code in codes:
-        report.checks.extend(verify_params(code, budget, method=method, rank_of=rank_of).checks)
+        report.checks.extend(verify_params(code, budget, rank_of=rank_of).checks)
     return report

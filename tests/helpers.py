@@ -2,7 +2,15 @@
 
 import random
 
-from cartcodes import CartesianCode, GeneratorMatrix, Grid, MultiPoly, oracle, poly
+from cartcodes import (
+    CartesianCode,
+    GeneratorMatrix,
+    Grid,
+    MultiPoly,
+    decompose_k_ell,
+    oracle,
+    poly,
+)
 
 
 def random_poly(field, n, max_deg, rng: random.Random, max_terms=6, caps=None, nonzero=False):
@@ -46,6 +54,21 @@ def span_words(field, rows):
                 nxt.add(tuple(field.add(x, field.mul(c, y)) for x, y in zip(w, row)))
         words = nxt
     return words
+
+
+def ref_extremal_codeword(code):
+    """extremal_codeword as a product of MultiPoly linear factors, evaluated on the grid."""
+    grid = code.grid
+    k, ell = decompose_k_ell(grid.cards, code.d)
+    F, n = grid.field, grid.n
+    f = MultiPoly.constant(F, n, 1)
+    minus_one = F.neg(1)
+    for i in range(k + 1):
+        count = grid.cards[i] - 1 if i < k else ell
+        unit = tuple(1 if j == i else 0 for j in range(n))
+        for c in grid.sets[i][:count]:
+            f = f * MultiPoly(F, n, {(0,) * n: c, unit: minus_one})
+    return f, poly.evaluate_on_grid(f, grid)
 
 
 # -- polynomial-arithmetic reference for the field tables -----------------------

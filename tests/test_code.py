@@ -26,7 +26,7 @@ from cartcodes import (
     zero_bound,
 )
 from cartcodes import _kernels
-from helpers import span_words
+from helpers import random_grid, ref_extremal_codeword, span_words
 
 
 # -- normalization ----------------------------------------------------------
@@ -246,7 +246,7 @@ def test_row_space_nesting():
     sets = [(0, 1, 2), (0, 2)]
     big = normalize_spec(F3, sets, 3).generator_matrix().array
     T = F3.tables()
-    base_rank = _kernels.rank_mod(big, T)
+    base_rank = _kernels.rank_mod(big.copy(), T)
     small = normalize_spec(F3, sets, 2).generator_matrix().array
     for row in small:
         stacked = np.vstack([big, row[None, :]])
@@ -293,6 +293,25 @@ def test_extremal_examples(p, e, cards, d, weight):
     assert int(np.count_nonzero(vec)) == weight == code.min_distance
     assert poly.total_degree == d
     assert int(np.count_nonzero(vec)) + zero_bound(cards, d) == code.length
+
+
+@pytest.mark.parametrize(
+    "p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (4099, 1)]
+)
+def test_extremal_matches_factor_product(p, e):
+    # the direct construction against the product of linear factors, at every d
+    F = make_field(p, e)
+    rng = random.Random(400 * p + e)
+    shapes = [(1, F.q), (2, min(F.q, 4), F.q)] if F.q <= 9 else [(3, 7, 12)]
+    shapes.append(tuple(rng.randint(1, min(F.q, 6)) for _ in range(3)))
+    for cards in shapes:
+        code0 = normalize_spec(F, random_grid(F, cards, rng).sets, 0)
+        for d in range(1, code0.regularity):
+            code = normalize_spec(F, code0.source.sets, d)
+            poly, vec = extremal_codeword(code)
+            ref_poly, ref_vec = ref_extremal_codeword(code)
+            assert poly == ref_poly and poly.format() == ref_poly.format()
+            assert vec.tolist() == ref_vec.tolist()
 
 
 def test_extremal_out_of_range():

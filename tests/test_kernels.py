@@ -1,5 +1,6 @@
 """Kernel differential tests: projective numpy scan vs naive re-encode vs explicit spans."""
 
+import math
 import random
 
 import numpy as np
@@ -26,8 +27,8 @@ def test_scan_paths_agree(p, e):
         k = rng.randint(1, 4)
         length = rng.randint(1, 9)
         G = _random_rows(F, k, length, rng)
-        ref = _kernels.scan_min_weight(G, T, method="naive")
-        assert _kernels.scan_min_weight(G, T, method="numpy") == ref
+        ref = _kernels.scan_min_weight_naive(G, T)
+        assert _kernels.scan_min_weight(G, T) == ref
         # independent: minimum weight over the explicitly spanned words
         words = span_words(F, G.tolist())
         expected = min(
@@ -36,30 +37,65 @@ def test_scan_paths_agree(p, e):
         assert ref == expected
 
 
-# K = 5 rows with block sizes on both sides of K: the leading digit of a
-# message lands in the low block for some sizes and in the odometer for others.
-@pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (5, 1)])
+SCAN_PARTITION_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+
+
+def _block_rows(q):
+    """Rows in the fast scan's low block: its q^j words stay within 2^13."""
+    return max(1, int(13 / math.log2(q)))
+
+
+def _planted_rows(F, k, t, digits, rng):
+    """Dense random rows, with row t set so that the message (digits, 1 at t) encodes a
+    weight-1 word.
+
+    The rows are 2k + 4 long, so other words seldom weigh as little.
+    """
+    length = 2 * k + 4
+    G = _random_rows(F, k, length, rng)
+    word = [0] * length
+    word[rng.randrange(length)] = rng.randrange(1, F.q)
+    for i, m in enumerate(digits):  # G[t] = word - sum_{i < t} m_i G[i]
+        word = [F.sub(w, F.mul(m, g)) for w, g in zip(word, G[i].tolist())]
+    G[t] = word
+    return G
+
+
+# K rows on both sides of the default block size j: the last nonzero digit of a
+# message lands in the low block (t < j) or in the odometer (t >= j), and the
+# odometer's digits run through their highest values.
+@pytest.mark.parametrize("p,e", SCAN_PARTITION_FIELDS)
 def test_scan_partition_independence(p, e):
     F = make_field(p, e)
     T = F.tables()
-    rng = random.Random(11)
-    G = _random_rows(F, 5, 7, rng)
-    results = {
-        _kernels.scan_min_weight(G, T, method="numpy", block_digits=b)
-        for b in (1, 2, 3, 5, 8)
-    }
-    assert results == {_kernels.scan_min_weight(G, T, method="naive")}
+    rng = random.Random(11 * p + e)
+    j = _block_rows(F.q)
+    for k in (j - 1, j, j + 1, j + 2):
+        if k < 1 or F.q**k > 1 << 18:
+            continue
+        t = rng.randrange(k)
+        cases = [
+            _random_rows(F, k, 7, rng),
+            # the last row, every lower digit at its last value
+            _planted_rows(F, k, k - 1, [F.q - 1] * (k - 1), rng),
+            _planted_rows(F, k, t, [rng.randrange(F.q) for _ in range(t)], rng),
+        ]
+        for G in cases:
+            assert _kernels.scan_min_weight(G, T) == _kernels.scan_min_weight_naive(G, T)
 
 
-@pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (5, 1)])
+@pytest.mark.parametrize("p,e", SCAN_PARTITION_FIELDS)
 def test_scan_early_exit_matches_full(p, e):
     F = make_field(p, e)
     T = F.tables()
-    rng = random.Random(12)
-    G = _random_rows(F, 4, 8, rng)
-    full = _kernels.scan_min_weight(G, T, method="naive")
-    for b in (2, None):  # K = 4 > 2: early exit may fire inside the odometer
-        assert _kernels.scan_min_weight(G, T, target=full, block_digits=b) == full
+    rng = random.Random(12 * p + e)
+    j = _block_rows(F.q)
+    # the minimum-weight word has its last nonzero digit at row j, in the odometer
+    G = _planted_rows(F, j + 1, j, [rng.randrange(F.q) for _ in range(j)], rng)
+    full = _kernels.scan_min_weight_naive(G, T)
+    assert full == 1
+    assert _kernels.scan_min_weight(G, T, target=full) == full
+    assert _kernels.scan_min_weight(G, T) == full
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (5, 1), (3, 2)])
@@ -71,15 +107,9 @@ def test_rank_paths_agree_with_span_oracle(p, e):
         k = rng.randint(1, 3)
         length = rng.randint(1, 5)
         M = _random_rows(F, k, length, rng)
-        r = _kernels.rank_mod(M, T)
+        r = _kernels.rank_mod(M.copy(), T)
         # span size is q^rank
         assert len(span_words(F, M.tolist())) == F.q**r
-
-
-def test_unknown_method_rejected():
-    F = make_field(2)
-    with pytest.raises(ValueError):
-        _kernels.scan_min_weight(np.ones((1, 2), dtype=np.int64), F.tables(), method="bogus")
 
 
 def _prefix_test_matrix(F, rng):
@@ -117,9 +147,9 @@ def test_rank_prefix_profile(p, e):
         M = _prefix_test_matrix(F, rng) if trial % 2 else _random_rows(
             F, rng.randint(1, 7), rng.randint(1, 6), rng)
         counts = list(range(M.shape[0] + 1))
-        profile = _kernels.rank_mod(M, T, prefixes=counts)
-        assert profile == [_kernels.rank_mod(M[:R], T) for R in counts]
-        assert profile[-1] == _kernels.rank_mod(M, T)
+        profile = _kernels.rank_mod(M.copy(), T, prefixes=counts)
+        assert profile == [_kernels.rank_mod(M[:R].copy(), T) for R in counts]
+        assert profile[-1] == _kernels.rank_mod(M.copy(), T)
         for R in counts[1:]:
             if F.q ** min(R, M.shape[1]) <= 1 << 10:  # span sizes stay small
                 assert len(span_words(F, M[:R].tolist())) == F.q ** profile[R]
