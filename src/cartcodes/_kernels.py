@@ -5,8 +5,10 @@ projective point: a word's weight does not change when its message is
 multiplied by a nonzero scalar, so only messages whose last nonzero digit is
 1 are encoded, (q^K - 1)/(q - 1) words instead of q^K.  Its inner loop does
 no field arithmetic: the weight of W[r] + h is the number of positions where
-W[r] differs from -h.  scan_min_weight_naive re-encodes all q^K messages
-from scratch; the tests use it as the differential reference.
+W[r] differs from -h.  The block W of the first j rows' q^j words is held
+to 2^13 words and to SCAN_BLOCK_ENTRIES codes (j >= 1), so the scan's memory
+is bounded on long words too.  scan_min_weight_naive re-encodes all q^K
+messages from scratch; the tests use it as the differential reference.
 
 Rank is one swap-free Gaussian elimination: in each column the pivot is the
 live row of lowest index, and the other live rows are updated from the next
@@ -26,6 +28,10 @@ import numpy as np
 # Matrix entries per elimination update in rank_mod; bounds the temporaries
 # of the table arithmetic on large matrices.
 RANK_CHUNK_ENTRIES = 1 << 15
+
+# Codes in the scan's block W; bounds its memory (and that of its temporaries)
+# on long words.
+SCAN_BLOCK_ENTRIES = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +54,9 @@ def scan_min_weight(G, tables, *, target=None) -> int:
     target = -1 if target is None else int(target)
     K, L = G.shape
     q = tables.q
-    j = min(K, max(1, int(13 / np.log2(q))))  # a block of at most max(q, 2^13) words
+    j = min(K, 1)  # the block's rows: q^j <= 2^13 words and q^j * L <= SCAN_BLOCK_ENTRIES codes
+    while j < K and q ** (j + 1) <= 1 << 13 and q ** (j + 1) * L <= SCAN_BLOCK_ENTRIES:
+        j += 1
     codes = np.arange(q, dtype=np.int64)[:, None]
     best = L + 1
 

@@ -16,6 +16,7 @@ from .code import CartesianCode, code_params, regularity
 from .errors import CartesianCodeError
 from .field import field_for_order
 from .grid import Grid
+from .oracle import OracleBudget, verify_degrees
 
 _REPEAT = re.compile(r"^(.+?)\s*[x×*]\s*(\d+)$")
 
@@ -175,8 +176,6 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .oracle import OracleBudget, verify_degrees
-
     if (args.d is None) == (not args.dall):
         raise ValueError("give exactly one of --d or --dall")
     field = _resolve_field(args.q, args.ext)
@@ -250,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--sets", required=True)
     v.add_argument("--d", type=int)
     v.add_argument("--dall", action="store_true", help="verify every d up to the regularity")
-    v.add_argument("--max-words", type=int, default=1 << 24)
+    v.add_argument("--max-words", type=int, default=OracleBudget.max_words)
     v.set_defaults(func=cmd_verify)
 
     c = sub.add_parser("construct", help="degenerate torus with prescribed set sizes")

@@ -271,6 +271,7 @@ class CartesianCode:
     def generator_matrix(self) -> GeneratorMatrix:
         if self._matrix is None:
             self._matrix = build_generator_matrix(self)
+            self._matrix.array.flags.writeable = False  # shared by every later caller
         return self._matrix
 
     def extremal_codeword(self):

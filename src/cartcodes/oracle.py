@@ -1,13 +1,14 @@
 """Brute-force ground truth for code parameters on desk-scale instances.
 
 Every oracle enumerates exhaustively and is independent of the closed-form
-parameter formulas; budget overruns raise (or are reported as skipped by
-verify_params) and never count as a pass.
+parameter formulas.  Each enumeration is admitted once, by arithmetic on
+sizes, before any matrix is evaluated; an overrun raises (or is reported as
+skipped by verify_params) and never counts as a pass.
 
 The rank oracle is a prefix-rank profile: the monomials of degree <= d are
 the first C(n + d, n) rows of the grevlex-ordered all-monomials matrix of any
 higher degree, so one swap-free elimination of the top-degree matrix gives
-rank(C_d) for every d at once (rank_profile).  verify_degrees uses it to
+rank(C_d) for every d at once (_rank_profile).  verify_degrees uses it to
 check a whole chain C_0, C_1, ... with one elimination per grid.
 """
 
@@ -26,6 +27,7 @@ from .code import (
     dimension_formula,
     extremal_codeword,
     min_distance_formula,
+    standard_monomials,
 )
 from .errors import BudgetExceededError
 from .grid import Grid
@@ -34,7 +36,7 @@ from .poly import grevlex_exponents, monomial_rows
 
 @dataclass(frozen=True)
 class OracleBudget:
-    """Hard caps checked before any enumeration starts."""
+    """Hard caps, each decided by arithmetic before any matrix is evaluated."""
 
     max_words: int = 1 << 24
     max_points: int = 1 << 16
@@ -57,14 +59,20 @@ MAX_RANK_ENTRIES = 1 << 26
 _FULL_SCANS: weakref.WeakKeyDictionary[CartesianCode, int] = weakref.WeakKeyDictionary()
 
 
-def _min_weight(code: CartesianCode, budget, *, target=None) -> int:
-    mat = code.generator_matrix()
-    total = code.field.q ** mat.rows
-    if total > budget.max_words:
-        raise BudgetExceededError(required=total, limit=budget.max_words)
+def _scan_budget_error(code: CartesianCode, budget: OracleBudget) -> BudgetExceededError | None:
+    """The overrun of the q^K-word scan, if any; K counts the footprint monomials, no formula."""
+    words = code.field.q ** len(standard_monomials(code.cards, code.d))
+    if words > budget.max_words:
+        return BudgetExceededError(required=words, limit=budget.max_words)
+    return None
+
+
+def _min_weight(code: CartesianCode, overrun: BudgetExceededError | None, *, target=None) -> int:
+    if overrun:
+        raise overrun
     if target is None and code in _FULL_SCANS:
         return _FULL_SCANS[code]
-    w = _kernels.scan_min_weight(mat.array, code.field.tables(), target=target)
+    w = _kernels.scan_min_weight(code.generator_matrix().array, code.field.tables(), target=target)
     if target is None:
         _FULL_SCANS[code] = w
     return w
@@ -72,7 +80,7 @@ def _min_weight(code: CartesianCode, budget, *, target=None) -> int:
 
 def brute_min_distance(
     code: CartesianCode,
-    budget: OracleBudget | None = None,
+    budget: OracleBudget = DEFAULT_BUDGET,
     *,
     confirm_only: bool = False,
 ) -> int:
@@ -83,12 +91,11 @@ def brute_min_distance(
     Complete scans are cached per code object, after the budget check, so an
     over-budget call raises even when an answer is cached.
     """
-    budget = budget or DEFAULT_BUDGET
     target = min_distance_formula(code.cards, code.d) if confirm_only else None
-    return _min_weight(code, budget, target=target)
+    return _min_weight(code, _scan_budget_error(code, budget), target=target)
 
 
-def max_zero_search(code: CartesianCode, budget: OracleBudget | None = None) -> int:
+def max_zero_search(code: CartesianCode, budget: OracleBudget = DEFAULT_BUDGET) -> int:
     """Maximum number of grid zeros over nonzero normal-form polynomials of degree <= d.
 
     Messages over the footprint basis are exactly those polynomials, and a
@@ -98,28 +105,27 @@ def max_zero_search(code: CartesianCode, budget: OracleBudget | None = None) -> 
     return code.length - brute_min_distance(code, budget)
 
 
-def brute_rank_dimension(code: CartesianCode, budget: OracleBudget | None = None) -> int:
+def brute_rank_dimension(code: CartesianCode, budget: OracleBudget = DEFAULT_BUDGET) -> int:
     """Rank over F_q of the evaluations of ALL monomials of degree <= d.
 
     Unlike the generator matrix this does not restrict to footprint
     monomials, so equality with dimension_formula is a real check.  It is
-    the one-degree case of rank_profile.
+    the one-degree case of _rank_profile.
     """
-    return rank_profile(code.grid, code.d, budget)[code.d]
+    err = _rank_budget_error(code.grid, code.d, budget)
+    if err:
+        raise err
+    return _rank_profile(code.grid, code.d)[code.d]
 
 
-def rank_profile(grid: Grid, dmax: int, budget: OracleBudget | None = None) -> list[int]:
+def _rank_profile(grid: Grid, dmax: int) -> list[int]:
     """ranks[d] = rank over F_q of all monomials of degree <= d on the grid, d = 0..dmax.
 
     In ascending grevlex order the C(n + d, n) monomials of degree <= d are
     the first rows of the all-monomials matrix of degree dmax, so one
     elimination of that matrix gives every ranks[d] as a prefix rank (see
-    _kernels.rank_mod).  The budget for dmax is checked before anything is
-    enumerated.
+    _kernels.rank_mod).  The caller has admitted dmax.
     """
-    err = _rank_budget_error(grid, dmax, budget or DEFAULT_BUDGET)
-    if err:
-        raise err
     n = grid.n
     arr = monomial_rows(grid, list(grevlex_exponents([dmax] * n, dmax)))
     prefixes = [math.comb(n + d, n) for d in range(dmax + 1)]
@@ -179,7 +185,7 @@ class VerifyReport:
 
 def verify_params(
     code: CartesianCode,
-    budget: OracleBudget | None = None,
+    budget: OracleBudget = DEFAULT_BUDGET,
     *,
     rank_of=None,
 ) -> VerifyReport:
@@ -190,12 +196,12 @@ def verify_params(
     rank check in place of brute_rank_dimension (verify_degrees passes one
     that reads a rank profile shared by every degree of the grid).
     """
-    budget = budget or DEFAULT_BUDGET
     report = VerifyReport(q=code.field.q, cards=code.cards)
     cards, d = code.cards, code.d
     dim = dimension_formula(cards, d)
     delta = min_distance_formula(cards, d)
     length = code.length
+    overrun = _scan_budget_error(code, budget)  # one admission, one scan for both checks
 
     def run(name, formula_value, fn):
         t0 = time.perf_counter()
@@ -221,13 +227,9 @@ def verify_params(
             return brute_rank_dimension(code, budget)
         return rank_of(d)
 
-    def min_weight_oracle():
-        # the second call is answered from _FULL_SCANS
-        return _min_weight(code, budget)
-
     run("rank_dimension", dim, rank_oracle)
-    run("min_distance", delta, min_weight_oracle)
-    run("max_zeros", length - delta, lambda: length - min_weight_oracle())
+    run("min_distance", delta, lambda: _min_weight(code, overrun))
+    run("max_zeros", length - delta, lambda: length - _min_weight(code, overrun))
     if 1 <= d <= code.regularity - 1:
         run(
             "extremal_weight",
@@ -237,29 +239,26 @@ def verify_params(
     return report
 
 
-def verify_degrees(grid: Grid, degrees, budget: OracleBudget | None = None) -> VerifyReport:
+def verify_degrees(grid: Grid, degrees, budget: OracleBudget = DEFAULT_BUDGET) -> VerifyReport:
     """verify_params at each degree in turn, with one rank elimination for the grid.
 
-    The rank checks read one rank_profile, built at the largest of the
-    degrees whose all-monomials matrix fits the budget; a degree over budget
-    is skipped with the same BudgetExceededError that verify_params gives it
-    alone.  The profile is built by the first rank check that is not skipped,
-    so that check's elapsed carries the whole shared elimination and the
-    later rank checks' elapsed only a lookup.  The report lists the checks of
-    every degree in order; its cards are those of the normalized grid.
+    Each degree's rank budget is decided once, up front.  The first rank
+    check that is not skipped builds the profile at the largest degree within
+    budget, so its elapsed carries the whole elimination and the later ones'
+    only a lookup; a degree over budget is skipped with the same
+    BudgetExceededError that verify_params gives it alone.  The report lists
+    the checks of every degree in order, with the normalized grid's cards.
     """
-    budget = budget or DEFAULT_BUDGET
     codes = [CartesianCode(grid, d) for d in degrees]
     norm = grid.normalized()[0]
-    fits = [d for d in degrees if _rank_budget_error(norm, d, budget) is None]
+    errors = {d: _rank_budget_error(norm, d, budget) for d in degrees}
     ranks: list[int] = []
 
     def rank_of(d):
-        err = _rank_budget_error(norm, d, budget)
-        if err:
-            raise err
+        if errors[d]:
+            raise errors[d]
         if not ranks:
-            ranks.extend(rank_profile(norm, max(fits), budget))
+            ranks.extend(_rank_profile(norm, max(e for e, err in errors.items() if not err)))
         return ranks[d]
 
     report = VerifyReport(q=grid.field.q, cards=norm.cards)

@@ -121,7 +121,7 @@ def oracle_sweep():
     budget = OracleBudget(max_words=SWEEP_WORD_CAP)
     t0 = time.perf_counter()
     cases = []
-    for q in (2, 3, 4, 5):
+    for q in (2, 3, 4, 5, 7, 8, 9):
         field = cc.field_for_order(q)
         for n in (1, 2, 3):
             for shape in combinations_with_replacement(range(2, min(q, 5) + 1), n):

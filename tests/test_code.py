@@ -202,7 +202,7 @@ def test_generator_matrix_f2_square_example():
     # rank oracle: 2^3 distinct span words means injective encoding
     words = span_words(F2, mat.array.tolist())
     assert len(words) == 8
-    assert _kernels.rank_mod(mat.array, F2.tables()) == 3 == code.dimension
+    assert _kernels.rank_mod(mat.array.copy(), F2.tables()) == 3 == code.dimension
 
 
 def test_generator_matrix_univariate_example():
@@ -211,7 +211,7 @@ def test_generator_matrix_univariate_example():
     mat = code.generator_matrix()
     assert mat.array.tolist() == [[1, 1, 1], [0, 1, 2]]
     assert len(span_words(F3, mat.array.tolist())) == 9
-    assert _kernels.rank_mod(mat.array, F3.tables()) == 2
+    assert _kernels.rank_mod(mat.array.copy(), F3.tables()) == 2
 
 
 def test_generator_matrix_saturated_is_square_invertible():
@@ -219,7 +219,18 @@ def test_generator_matrix_saturated_is_square_invertible():
     code = normalize_spec(F3, [(0, 1, 2), (0, 1, 2)], 4)  # d = regularity
     mat = code.generator_matrix()
     assert mat.rows == mat.cols == 9
-    assert _kernels.rank_mod(mat.array, F3.tables()) == 9
+    assert _kernels.rank_mod(mat.array.copy(), F3.tables()) == 9
+
+
+def test_cached_generator_matrix_is_read_only():
+    # rank_mod eliminates its input in place, so handing it the cached matrix must fail
+    F3 = make_field(3)
+    code = normalize_spec(F3, [(0, 1, 2), (0, 1, 2)], 4)
+    before = code.generator_matrix().array.copy()
+    with pytest.raises(ValueError):
+        _kernels.rank_mod(code.generator_matrix().array, F3.tables())
+    assert np.array_equal(code.generator_matrix().array, before)
+    assert _kernels.rank_mod(code.generator_matrix().array.copy(), F3.tables()) == 9
 
 
 @pytest.mark.parametrize(
@@ -238,7 +249,7 @@ def test_rank_equals_dimension(p, e, sets, d):
     code = normalize_spec(F, sets, d)
     mat = code.generator_matrix()
     assert mat.rows == code.dimension
-    assert _kernels.rank_mod(mat.array, F.tables()) == code.dimension
+    assert _kernels.rank_mod(mat.array.copy(), F.tables()) == code.dimension
 
 
 def test_row_space_nesting():

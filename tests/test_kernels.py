@@ -2,11 +2,12 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cartcodes import make_field
+from cartcodes import make_field, normalize_spec
 from cartcodes import _kernels
 from helpers import span_words
 
@@ -96,6 +97,40 @@ def test_scan_early_exit_matches_full(p, e):
     assert full == 1
     assert _kernels.scan_min_weight(G, T, target=full) == full
     assert _kernels.scan_min_weight(G, T) == full
+
+
+# With a small entry cap the block shrinks with the word length, down to one row.
+@pytest.mark.parametrize("cap", [1, 40])
+@pytest.mark.parametrize("p,e", SCAN_PARTITION_FIELDS)
+def test_scan_block_entry_cap(monkeypatch, p, e, cap):
+    monkeypatch.setattr(_kernels, "SCAN_BLOCK_ENTRIES", cap)
+    F = make_field(p, e)
+    T = F.tables()
+    rng = random.Random(13 * p + e + cap)
+    for k in range(1, 5):
+        t = rng.randrange(k)
+        cases = [
+            _random_rows(F, k, rng.randint(1, 9), rng),
+            _planted_rows(F, k, t, [rng.randrange(F.q) for _ in range(t)], rng),
+        ]
+        for G in cases:
+            full = _kernels.scan_min_weight_naive(G, T)
+            assert _kernels.scan_min_weight(G, T) == full
+            assert _kernels.scan_min_weight(G, T, target=full) == full
+
+
+def test_scan_memory_bounded_on_long_words():
+    # F2^13 at d = 1: 14 rows of 8192 codes; a block of 2^13 such words would be 512 MiB
+    F = make_field(2)
+    G = normalize_spec(F, [(0, 1)] * 13, 1).generator_matrix().array
+    tracemalloc.start()
+    try:
+        w = _kernels.scan_min_weight(G, F.tables())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w == 1 << 12
+    assert peak < 96 * 2**20
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (5, 1), (3, 2)])

@@ -5,13 +5,14 @@ from math import comb
 
 import pytest
 
-from cartcodes import BudgetExceededError, _kernels, make_field, normalize_spec, oracle
+from cartcodes import BudgetExceededError, CartesianCode, _kernels, make_field, normalize_spec
+from cartcodes import code as code_module, oracle
 from cartcodes.oracle import (
     OracleBudget,
+    _rank_profile,
     brute_min_distance,
     brute_rank_dimension,
     max_zero_search,
-    rank_profile,
     verify_degrees,
     verify_params,
 )
@@ -89,11 +90,54 @@ def test_rank_budget_checked_before_enumeration(monkeypatch):
     assert by_name["rank_dimension"].detail == str(exc.value)
 
 
+def test_scan_budget_checked_before_matrix(monkeypatch):
+    code = _full_code(3, 1, (3, 3), 2)  # 6 footprint monomials, 3^6 = 729 words
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("generator matrix evaluated before the budget check")
+
+    counts = []
+
+    def counted(cards, d):
+        counts.append(d)
+        return code_module.standard_monomials(cards, d)
+
+    monkeypatch.setattr(code_module, "monomial_rows", refuse)
+    monkeypatch.setattr(CartesianCode, "generator_matrix", refuse)
+    monkeypatch.setattr(oracle, "standard_monomials", counted)
+    budget = OracleBudget(max_words=100)
+    with pytest.raises(BudgetExceededError) as exc:
+        brute_min_distance(code, budget)
+    assert (exc.value.required, exc.value.limit) == (729, 100)
+    counts.clear()
+    by_name = {c.name: c for c in verify_params(code, budget).checks}
+    assert counts == [2]  # one admission shared by min_distance and max_zeros
+    for name in ("min_distance", "max_zeros"):
+        assert by_name[name].status == "skipped"
+        assert by_name[name].detail == "enumeration needs 729 items, budget allows 100"
+    assert by_name["rank_dimension"].status == by_name["extremal_weight"].status == "pass"
+
+
+def test_verify_degrees_decides_each_rank_budget_once(monkeypatch):
+    code = _full_code(3, 1, (3, 3), 0)
+    calls = []
+    real = oracle._rank_budget_error
+
+    def counted(grid, d, budget):
+        calls.append(d)
+        return real(grid, d, budget)
+
+    monkeypatch.setattr(oracle, "_rank_budget_error", counted)
+    report = verify_degrees(code.grid, range(5))
+    assert report.ok
+    assert sorted(calls) == [0, 1, 2, 3, 4]
+
+
 def test_rank_profile_matches_each_degree():
     F9 = make_field(3, 2)
     code = normalize_spec(F9, [F9.subgroup_of_order(4).elements, range(5)], 0)
     top = code.regularity
-    profile = rank_profile(code.grid, top)
+    profile = _rank_profile(code.grid, top)
     assert len(profile) == top + 1
     for d in range(top + 1):
         one = normalize_spec(F9, code.grid.sets, d)
