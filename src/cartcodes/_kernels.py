@@ -4,10 +4,15 @@ The minimum-weight scan is a blocked pure-numpy walk over one message per
 projective point: a word's weight does not change when its message is
 multiplied by a nonzero scalar, so only messages whose last nonzero digit is
 1 are encoded, (q^K - 1)/(q - 1) words instead of q^K.  Its inner loop does
-no field arithmetic: the weight of W[r] + h is the number of positions where
-W[r] differs from -h.  The block W of the first j rows' q^j words is held
-to 2^13 words and to SCAN_BLOCK_ENTRIES codes (j >= 1), so the scan's memory
-is bounded on long words too.  scan_min_weight_naive re-encodes all q^K
+no field arithmetic: the weight of word r of the block plus a high part h is
+the number of coordinates c where WT[c, r] differs from -h[c].  The block WT
+of the first j rows' q^j words is coordinate-major (one row per coordinate)
+in the narrowest unsigned code dtype (uint8 up to q = 256), and the
+mismatches are summed a coordinate at a time in the narrowest dtype that
+holds L, so each step streams L * q^j narrow codes, not int64 ones.  The
+block is held to 2^13 words and to SCAN_BLOCK_ENTRIES codes (j >= 1), and it
+grows in coordinate slices of CHUNK_ENTRIES codes, so the scan's memory is
+bounded on long words too.  scan_min_weight_naive re-encodes all q^K
 messages from scratch; the tests use it as the differential reference.
 
 Rank is one swap-free Gaussian elimination: in each column the pivot is the
@@ -17,20 +22,21 @@ the same elimination gives the rank of every row prefix M[:R]; the rank
 oracle uses this to read dim C_d at every degree d from one matrix, whose
 degree <= d monomials are its first C(n + d, n) rows.
 
-All kernels work on int64 element codes through the field's vectorized
-FieldTables operations, so they are field-agnostic.
+All kernels do their field arithmetic on int64 element codes through the
+field's vectorized FieldTables operations, so they are field-agnostic.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Matrix entries per elimination update in rank_mod; bounds the temporaries
-# of the table arithmetic on large matrices.
-RANK_CHUNK_ENTRIES = 1 << 15
+# Entries per vectorized table-arithmetic update (an elimination step of
+# rank_mod, a slice of the scan's block as it grows); bounds the int64
+# temporaries on large inputs.
+CHUNK_ENTRIES = 1 << 15
 
-# Codes in the scan's block W; bounds its memory (and that of its temporaries)
-# on long words.
+# Codes in the scan's block WT; bounds its memory (and that of the comparison
+# each step makes) on long words.
 SCAN_BLOCK_ENTRIES = 1 << 22
 
 
@@ -48,7 +54,7 @@ def scan_min_weight(G, tables, *, target=None) -> int:
     # Message m = (m_0, ..., m_{K-1}) encodes sum_i m_i G[i].  Every nonzero
     # message is a unique scalar multiple of one whose last nonzero digit m_t
     # is 1, i.e. G[t] plus any combination of the rows below t.  Those
-    # combinations are the block W of the first j rows (grown in place for
+    # combinations are the block WT of the first j rows (grown in place for
     # t < j) plus, for t >= j, an odometer over the high digits below t.
     G = np.ascontiguousarray(np.asarray(G, dtype=np.int64))
     target = -1 if target is None else int(target)
@@ -57,41 +63,49 @@ def scan_min_weight(G, tables, *, target=None) -> int:
     j = min(K, 1)  # the block's rows: q^j <= 2^13 words and q^j * L <= SCAN_BLOCK_ENTRIES codes
     while j < K and q ** (j + 1) <= 1 << 13 and q ** (j + 1) * L <= SCAN_BLOCK_ENTRIES:
         j += 1
-    codes = np.arange(q, dtype=np.int64)[:, None]
+    # WT is coordinate-major (L x q^j) in the narrowest code dtype; weights are
+    # summed a coordinate at a time in the narrowest dtype that holds L.
+    code = np.min_scalar_type(q - 1)
+    count = np.min_scalar_type(L)
+    neg = tables.neg.astype(code)
+    codes = np.arange(q, dtype=np.int64)
     best = L + 1
 
     def scan(h):
-        # weight(W[r] + h) = #{c : W[r, c] != -h[c]}
+        # weight(WT[:, r] + h) = #{c : WT[c, r] != -h[c]}
         nonlocal best
-        weights = np.count_nonzero(W != tables.neg[h], axis=1)
-        nz = weights[weights > 0]
-        if nz.size:
-            best = min(best, int(nz.min()))
+        weights = np.add.reduce(WT != neg[h][:, None], axis=0, dtype=count)
+        w = int(weights.min())
+        if w == 0:  # zero words (from dependent rows) have no weight
+            nz = weights[weights > 0]
+            w = int(nz.min()) if nz.size else best
+        best = min(best, w)
         return target >= 0 and best <= target
 
-    W = np.zeros((1, L), dtype=np.int64)
+    WT = np.zeros((L, 1), dtype=code)
     for t in range(j):
         if scan(G[t]):
             return best
         if t < K - 1:  # the block of all j rows is needed only when high rows follow
-            scaled = tables.mul(codes, G[t][None, :])
-            W = tables.add(W[:, None, :], scaled[None, :, :]).reshape(-1, L)
-    # Moving digit i from c to c + 1 (mod q) adds step[i][c] to the high part.
-    step = []
-    for row in G[j:-1]:
-        scaled = tables.mul(codes, row[None, :])
-        step.append(tables.sub(np.roll(scaled, -1, axis=0), scaled))
+            grown = np.empty((L, WT.shape[1], q), dtype=code)
+            rows = max(1, CHUNK_ENTRIES // grown[0].size)  # coordinates per slice
+            for c in range(0, L, rows):  # bounded int64 temporaries
+                scaled = tables.mul(G[t, c : c + rows, None], codes)
+                grown[c : c + rows] = tables.add(WT[c : c + rows, :, None], scaled[:, None, :])
+            WT = grown.reshape(L, -1)
+    # Moving digit i from c to c + 1 (mod q) adds delta[c] * G[j + i] to the high part.
+    delta = tables.sub((codes + 1) % q, codes)
     for t in range(j, K):
         msg = np.zeros(t - j, dtype=np.int64)
         whigh = G[t]
-        for count in range(q ** (t - j)):
-            if count > 0:
+        for n in range(q ** (t - j)):
+            if n > 0:
                 i = 0
                 while msg[i] == q - 1:
-                    whigh = tables.add(whigh, step[i][q - 1])
+                    whigh = tables.add(whigh, tables.mul(delta[q - 1], G[j + i]))
                     msg[i] = 0
                     i += 1
-                whigh = tables.add(whigh, step[i][msg[i]])
+                whigh = tables.add(whigh, tables.mul(delta[msg[i]], G[j + i]))
                 msg[i] += 1
             if scan(whigh):
                 return best
@@ -176,7 +190,7 @@ def _pivot_rows(M, tables) -> np.ndarray:
         prow = M[piv, c + 1 :]
         lrow = (log[prow] - log[M[piv, c]] + shift) % n
         lrow[prow == 0] = z
-        chunk = max(1, RANK_CHUNK_ENTRIES // lrow.size)
+        chunk = max(1, CHUNK_ENTRIES // lrow.size)
         for s in range(0, hit.size, chunk):  # bounded temporaries
             sel = hit[s : s + chunk]
             scaled = exp[log[M[sel, c]][:, None] + lrow[None, :]]

@@ -99,11 +99,13 @@ def test_scan_early_exit_matches_full(p, e):
     assert _kernels.scan_min_weight(G, T) == full
 
 
-# With a small entry cap the block shrinks with the word length, down to one row.
+# With a small entry cap the block shrinks with the word length, down to one row,
+# and it grows a few coordinates (down to one) per slice.
 @pytest.mark.parametrize("cap", [1, 40])
 @pytest.mark.parametrize("p,e", SCAN_PARTITION_FIELDS)
 def test_scan_block_entry_cap(monkeypatch, p, e, cap):
     monkeypatch.setattr(_kernels, "SCAN_BLOCK_ENTRIES", cap)
+    monkeypatch.setattr(_kernels, "CHUNK_ENTRIES", cap)
     F = make_field(p, e)
     T = F.tables()
     rng = random.Random(13 * p + e + cap)
@@ -119,18 +121,83 @@ def test_scan_block_entry_cap(monkeypatch, p, e, cap):
             assert _kernels.scan_min_weight(G, T, target=full) == full
 
 
-def test_scan_memory_bounded_on_long_words():
-    # F2^13 at d = 1: 14 rows of 8192 codes; a block of 2^13 such words would be 512 MiB
-    F = make_field(2)
-    G = normalize_spec(F, [(0, 1)] * 13, 1).generator_matrix().array
+def _scan_peak(G, tables):
+    """The fast scan's result and its tracemalloc peak in bytes."""
     tracemalloc.start()
     try:
-        w = _kernels.scan_min_weight(G, F.tables())
+        w = _kernels.scan_min_weight(G, tables)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return w, peak
+
+
+def test_scan_memory_bounded_on_long_words():
+    # The F2 grid {0,1}^13 at d = 1: 14 rows of 8192 codes.  The capped block is
+    # 2^9 words, 4 MiB of uint8 codes plus 4 MiB of comparison; a block of 2^13
+    # such words would be 64 MiB.
+    F = make_field(2)
+    G = normalize_spec(F, [(0, 1)] * 13, 1).generator_matrix().array
+    w, peak = _scan_peak(G, F.tables())
     assert w == 1 << 12
-    assert peak < 96 * 2**20
+    assert peak < 12 * 2**20
+
+
+def test_scan_memory_bounded_while_block_grows():
+    # F_256, two rows of 2^16 codes: the one-row block is forced past the entry cap
+    # (16 MiB of uint8 codes); growing it in one step would take 128 MiB per
+    # int64 temporary.
+    F = make_field(2, 8)
+    T = F.tables()
+    G = np.random.default_rng(7).integers(0, F.q, (2, 1 << 16))
+    w, peak = _scan_peak(G, T)
+    expected = min(
+        np.count_nonzero(T.add(T.mul(a, G[0]), G[1])) for a in range(F.q)
+    )
+    assert w == min(expected, np.count_nonzero(G[0]))
+    assert peak < 48 * 2**20
+
+
+# The block holds uint8 codes up to q = 256 and uint16 codes from q = 257 on.  The
+# planted row 1 is mostly 1, and -1 is 256 in F_257: codes narrowed to uint8 would
+# read it as 0 and weigh the word row 1 below the true minimum (at least 6).
+@pytest.mark.parametrize("p,e", [(2, 8), (257, 1)])
+def test_scan_code_dtype_boundary(p, e):
+    F = make_field(p, e)
+    T = F.tables()
+    rng = random.Random(p + e)
+    planted = np.array(
+        [rng.sample(range(1, F.q), 8), [1] * 6 + [2] * 2], dtype=np.int64
+    )
+    cases = [planted] + [_random_rows(F, 2, rng.randint(1, 9), rng) for _ in range(4)]
+    for G in cases:
+        full = _kernels.scan_min_weight_naive(G, T)
+        assert _kernels.scan_min_weight(G, T) == full
+        assert _kernels.scan_min_weight(G, T, target=full) == full
+    assert _kernels.scan_min_weight_naive(planted, T) >= 6
+
+
+# Weights are summed in uint8 up to L = 255 and in uint16 from L = 256 on.  Every
+# nonzero word is a multiple of one full-weight word of length L, so the minimum
+# is L: a uint8 sum would wrap it to 0 (dropped as a zero word) or to 1.  With
+# the entry cap at 1 the block has one row and the odometer the other three.
+@pytest.mark.parametrize("cap", [None, 1])
+@pytest.mark.parametrize("length", [255, 256, 257])
+@pytest.mark.parametrize("p,e", [(3, 1), (2, 2)])
+def test_scan_weight_dtype_boundary(monkeypatch, p, e, length, cap):
+    if cap is not None:
+        monkeypatch.setattr(_kernels, "SCAN_BLOCK_ENTRIES", cap)
+    F = make_field(p, e)
+    T = F.tables()
+    rng = random.Random(length + p + e)
+    word = [rng.randrange(1, F.q) for _ in range(length)]
+    G = np.array(
+        [[F.mul(c, x) for x in word] for c in (1, 0, rng.randrange(1, F.q), 1)],
+        dtype=np.int64,
+    )
+    assert _kernels.scan_min_weight_naive(G, T) == length
+    assert _kernels.scan_min_weight(G, T) == length
+    assert _kernels.scan_min_weight(G, T, target=length) == length
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (5, 1), (3, 2)])
