@@ -6,14 +6,18 @@ sizes, before any matrix is evaluated; an overrun raises (or is reported as
 skipped by verify_params) and never counts as a pass.
 
 The rank oracle is a prefix-rank profile: the monomials of degree <= d are
-the first C(n + d, n) rows of the grevlex-ordered all-monomials matrix of any
-higher degree, so one swap-free elimination of the top-degree matrix gives
-rank(C_d) for every d at once (_rank_profile).  verify_degrees uses it to
-check a whole chain C_0, C_1, ... with one elimination per grid.
+the first rows of the grevlex-ordered all-monomials matrix of any higher
+degree, so one swap-free elimination of the top-degree matrix gives
+rank(C_d) for every d at once (_rank_profile).  Only rows observed to repeat
+a lower-degree row are left out: the powers of each t_i are evaluated on A_i
+until they repeat, never reduced by the footprint or any formula.
+verify_degrees uses the profile to check a whole chain C_0, C_1, ... with
+one elimination per grid.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 import weakref
@@ -108,9 +112,10 @@ def max_zero_search(code: CartesianCode, budget: OracleBudget = DEFAULT_BUDGET) 
 def brute_rank_dimension(code: CartesianCode, budget: OracleBudget = DEFAULT_BUDGET) -> int:
     """Rank over F_q of the evaluations of ALL monomials of degree <= d.
 
-    Unlike the generator matrix this does not restrict to footprint
-    monomials, so equality with dimension_formula is a real check.  It is
-    the one-degree case of _rank_profile.
+    Unlike the generator matrix this is not taken over footprint monomials:
+    the only rows dropped are those observed to repeat a lower-degree row on
+    the grid, so equality with dimension_formula is a real check.  It is the
+    one-degree case of _rank_profile.
     """
     err = _rank_budget_error(code.grid, code.d, budget)
     if err:
@@ -121,15 +126,41 @@ def brute_rank_dimension(code: CartesianCode, budget: OracleBudget = DEFAULT_BUD
 def _rank_profile(grid: Grid, dmax: int) -> list[int]:
     """ranks[d] = rank over F_q of all monomials of degree <= d on the grid, d = 0..dmax.
 
-    In ascending grevlex order the C(n + d, n) monomials of degree <= d are
-    the first rows of the all-monomials matrix of degree dmax, so one
-    elimination of that matrix gives every ranks[d] as a prefix rank (see
-    _kernels.rank_mod).  The caller has admitted dmax.
+    In ascending grevlex order the monomials of degree <= d are the first
+    rows of the all-monomials matrix of degree dmax, so one elimination of
+    that matrix gives every ranks[d] as a prefix rank (see _kernels.rank_mod).
+    Rows observed to repeat a lower-degree row are left out (_exponent_caps):
+    each stays in the span of its prefix, so no prefix rank changes.  The
+    caller has admitted dmax.
     """
-    n = grid.n
-    arr = monomial_rows(grid, list(grevlex_exponents([dmax] * n, dmax)))
-    prefixes = [math.comb(n + d, n) for d in range(dmax + 1)]
-    return _kernels.rank_mod(arr, grid.field.tables(), prefixes=prefixes)
+    T = grid.field.tables()
+    exps = list(grevlex_exponents(_exponent_caps(grid.sets, T, dmax), dmax))
+    arr = monomial_rows(grid, exps)
+    counts = [0] * (dmax + 1)
+    for e in exps:
+        counts[sum(e)] += 1
+    return _kernels.rank_mod(arr, T, prefixes=list(itertools.accumulate(counts)))
+
+
+def _exponent_caps(sets, T, dmax: int) -> list[int]:
+    """caps[i]: t^0, ..., t^caps[i] are the powers, up to dmax, with new values on sets[i].
+
+    Found by evaluating t^0, t^1, ... on the set until a value vector comes
+    back, never from the set's size.  If t^m takes the values of t^k with
+    k < m, then so do t^(m+j) and t^(k+j) for every j, so each monomial with
+    a_i >= m agrees on the grid with one of strictly lower degree and a_i < m.
+    """
+    caps = []
+    for s in sets:
+        x = np.array(s, dtype=np.int64)
+        power, seen = np.ones_like(x), set()
+        key = power.tobytes()
+        while len(seen) <= dmax and key not in seen:
+            seen.add(key)
+            power = T.mul(power, x)
+            key = power.tobytes()
+        caps.append(len(seen) - 1)
+    return caps
 
 
 def _rank_budget_error(grid: Grid, d: int, budget: OracleBudget) -> BudgetExceededError | None:

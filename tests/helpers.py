@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import math
 import random
 
 from cartcodes import (
@@ -7,6 +8,7 @@ from cartcodes import (
     GeneratorMatrix,
     Grid,
     MultiPoly,
+    _kernels,
     decompose_k_ell,
     oracle,
     poly,
@@ -42,6 +44,18 @@ def random_grid(field, cards, rng: random.Random) -> Grid:
     """Grid whose coordinate sets are random subsets of the stated sizes."""
     sets = [sorted(rng.sample(range(field.q), c)) for c in cards]
     return Grid(field, sets)
+
+
+def full_rank_profile(grid, dmax):
+    """oracle._rank_profile without dropping repeated rows: every monomial of degree <= dmax.
+
+    The reference for the reduced matrix: one elimination of the unreduced
+    grevlex all-monomials matrix, read at the prefixes C(n + d, n).
+    """
+    n = grid.n
+    arr = poly.monomial_rows(grid, list(poly.grevlex_exponents([dmax] * n, dmax)))
+    prefixes = [math.comb(n + d, n) for d in range(dmax + 1)]
+    return _kernels.rank_mod(arr, grid.field.tables(), prefixes=prefixes)
 
 
 def span_words(field, rows):

@@ -5,10 +5,11 @@ from math import comb
 
 import pytest
 
-from cartcodes import BudgetExceededError, CartesianCode, _kernels, make_field, normalize_spec
+from cartcodes import BudgetExceededError, CartesianCode, Grid, _kernels, make_field, normalize_spec
 from cartcodes import code as code_module, oracle
 from cartcodes.oracle import (
     OracleBudget,
+    _exponent_caps,
     _rank_profile,
     brute_min_distance,
     brute_rank_dimension,
@@ -16,7 +17,7 @@ from cartcodes.oracle import (
     verify_degrees,
     verify_params,
 )
-from helpers import inject_damaged_matrices, random_grid, span_words
+from helpers import full_rank_profile, inject_damaged_matrices, random_grid, span_words
 
 
 def _full_code(p, e, cards, d):
@@ -80,6 +81,7 @@ def test_rank_budget_checked_before_enumeration(monkeypatch):
 
     monkeypatch.setattr(oracle, "monomial_rows", refuse)
     monkeypatch.setattr(oracle, "grevlex_exponents", refuse)
+    monkeypatch.setattr(oracle, "_exponent_caps", refuse)
     monkeypatch.setattr(oracle, "MAX_RANK_ENTRIES", required - 1)
     with pytest.raises(BudgetExceededError) as exc:
         brute_rank_dimension(code)
@@ -142,6 +144,57 @@ def test_rank_profile_matches_each_degree():
     for d in range(top + 1):
         one = normalize_spec(F9, code.grid.sets, d)
         assert profile[d] == brute_rank_dimension(one) == one.dimension
+
+
+def test_exponent_caps_are_observed():
+    # the first exponent whose powers repeat on A_i, minus one; never |A_i| - 1 by rule
+    T5 = make_field(5).tables()
+    cases = [((1, 2, 4), 3), ((0, 1), 1), (range(5), 4), ((0, 3), 4), ((1,), 0), ((0,), 1)]
+    for s, cap in cases:
+        assert _exponent_caps([s], T5, 8) == [cap], s
+    F9 = make_field(3, 2)
+    assert _exponent_caps([F9.subgroup_of_order(4).elements], F9.tables(), 8) == [3]
+    # several coordinates at once, and the search stops at dmax
+    sets = [(1, 2, 4), range(5), (0, 1)]
+    assert _exponent_caps(sets, T5, 8) == [3, 4, 1]
+    assert _exponent_caps(sets, T5, 2) == [2, 2, 1]
+    assert _exponent_caps(sets, T5, 0) == [0, 0, 0]
+
+
+def _random_set(F, rng):
+    """A coordinate set of one of the shapes the paper's families use."""
+    kind = rng.choice(["random", "with0", "subgroup", "coset", "subgroup+0", "single"])
+    if kind == "single":
+        return [rng.randrange(F.q)]
+    if kind in ("random", "with0"):
+        s = set(rng.sample(range(1, F.q), rng.randint(1, min(F.q - 1, 5))))
+        return sorted(s | {0}) if kind == "with0" else sorted(s)
+    orders = [k for k in range(1, F.q) if (F.q - 1) % k == 0 and k <= 8]
+    H = F.subgroup_of_order(rng.choice(orders)).elements
+    if kind == "coset":
+        c = rng.randrange(1, F.q)
+        return sorted({F.mul(c, h) for h in H})
+    return sorted(set(H) | {0}) if kind == "subgroup+0" else list(H)
+
+
+def test_rank_profile_matches_unreduced_random_grids():
+    rng = random.Random(808)
+    primes = [(2, 1), (3, 1), (5, 1), (7, 1), (13, 1)]
+    for p, e in primes + [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]:
+        F = make_field(p, e)
+        for _ in range(6):
+            grid = Grid(F, [_random_set(F, rng) for _ in range(rng.randint(1, 3))])
+            reg = sum(c - 1 for c in grid.cards)
+            for dmax in (0, reg, reg + rng.randint(1, 3)):
+                assert _rank_profile(grid, dmax) == full_rank_profile(grid, dmax), grid.sets
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 2, 3), (2, 3, 2), (3, 2, 2)])
+def test_rank_profile_matches_unreduced_full_grids(p, e, n):
+    F = make_field(p, e)
+    grid = Grid(F, [F.elements()] * n)
+    top = n * (F.q - 1)
+    assert _rank_profile(grid, top) == full_rank_profile(grid, top)
 
 
 def test_verify_degrees_skips_per_degree(monkeypatch):
