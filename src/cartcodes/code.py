@@ -188,6 +188,10 @@ def standard_monomials(cards, d: int) -> list[tuple[int, ...]]:
     return list(grevlex_exponents([c - 1 for c in cards], d))
 
 
+# Matrix entries written at once by GeneratorMatrix.format; bounds its byte blocks.
+FORMAT_CHUNK_ENTRIES = 1 << 17
+
+
 class GeneratorMatrix:
     """Rows: footprint monomial evaluations (ascending grevlex); columns: grid points."""
 
@@ -208,13 +212,37 @@ class GeneratorMatrix:
         return self.array.shape[1]
 
     def format(self) -> str:
-        """Matrix file body: 'q n_rows n_cols' then one row of codes per line."""
-        lines = [f"{self.grid.field.q} {self.rows} {self.cols}"]
+        """Matrix file body: 'q n_rows n_cols' then one row of codes per line.
+
+        Written as bytes: a table of the codes 0..max holds one uint8 row per
+        decimal position (ASCII digits, right-aligned, 0 as padding).  Each
+        slice of about FORMAT_CHUNK_ENTRIES entries gathers its digit planes
+        into a (rows, cols, width + 1) byte block whose last slot is a space,
+        or a newline at the end of a row.  The padding bytes are dropped when
+        some code has more than one digit, and the slice is decoded as ASCII.
+        """
+        parts = [f"{self.grid.field.q} {self.rows} {self.cols}\n"]
         if self.array.size:
-            # one string per code, looked up a row at a time to bound temporaries
-            strs = np.array([str(c) for c in range(int(self.array.max()) + 1)], dtype=object)
-            lines += [" ".join(strs[row].tolist()) for row in self.array]
-        return "\n".join(lines) + "\n"
+            codes = np.arange(int(self.array.max()) + 1)
+            width = len(str(codes[-1]))
+            digits = np.zeros((width, codes.size), dtype=np.uint8)
+            for k in range(width - 1):
+                place = 10 ** (width - 1 - k)
+                digits[k] = np.where(codes >= place, 48 + codes // place % 10, 0)
+            digits[-1] = 48 + codes % 10  # every code has a units digit
+            chunk = max(1, FORMAT_CHUNK_ENTRIES // self.cols)
+            for s in range(0, self.rows, chunk):
+                block = self.array[s : s + chunk]
+                buf = np.empty(block.shape + (width + 1,), dtype=np.uint8)
+                for k in range(width):
+                    buf[..., k] = np.take(digits[k], block)
+                buf[..., width] = 32
+                buf[:, -1, width] = 10
+                out = buf.reshape(-1)
+                if width > 1:
+                    out = out[out != 0]
+                parts.append(out.tobytes().decode("ascii"))
+        return "".join(parts)
 
     def legend(self) -> str:
         """Sidecar body: exponent vectors in row order."""

@@ -339,9 +339,15 @@ def reduce_mod_grid(f: MultiPoly, grid: Grid) -> MultiPoly:
 def monomial_rows(grid: Grid, exps_list) -> np.ndarray:
     """Evaluations of monomials on the whole grid, one row per monomial.
 
-    Columns follow grid.points() order.  Works in the log domain: at a point
-    with every x_i != 0 the value is g^(sum_i a_i log x_i mod (q - 1)), and it
-    is 0 when some x_i = 0 carries a_i > 0.
+    Columns follow grid.points() order.  Works in the log domain: each power
+    x^a on a coordinate set is its logarithm a log x mod N (N = q - 1), or the
+    sentinel Z of FieldTables where x = 0 and a > 0 (0^0 = 1 has log 0).  The
+    coordinates are folded in by broadcast addition.  Before each coordinate
+    from the third on, the partial sums, which span only the coordinates
+    folded so far, are brought back to [0, N) or Z through log[exp[.]].  So
+    every sum of two terms is below Z unless a factor is 0, and at most 2Z if
+    one is; the last, full-size step is one add and one gather from exp, whose
+    zero tail maps every index from Z to 2Z to 0.
     """
     rows = len(exps_list)
     arr = np.empty((rows, grid.size), dtype=np.int64)
@@ -349,26 +355,24 @@ def monomial_rows(grid: Grid, exps_list) -> np.ndarray:
         return arr
     T = grid.field.tables()
     n, N = grid.n, grid.field.q - 1
-    zero = n * N  # exceeds every sum of n reduced logarithms: marks a zero factor
     exps = np.array(exps_list, dtype=np.int64).reshape(rows, n)
-    logpow = []  # logpow[i][a, j] = log(A_i[j]^a) mod N, or `zero` where that power is 0
+    logpow = []  # logpow[i][a, j] = log(A_i[j]^a): in [0, N), or Z where that power is 0
     for i, s in enumerate(grid.sets):
         x = np.array(s, dtype=np.int64)
         lp = np.arange(exps[:, i].max() + 1)[:, None] * T.log[x] % N
-        lp[1:, x == 0] = zero
+        lp[1:, x == 0] = T.sentinel
         logpow.append(lp)
     chunk = max(1, MONOMIAL_CHUNK_ENTRIES // grid.size)
     for s in range(0, rows, chunk):
         e = exps[s : s + chunk]
-        total = 0
-        for i in range(n):
-            shape = (len(e),) + (1,) * i + (-1,) + (1,) * (n - 1 - i)
-            total = total + logpow[i][e[:, i]].reshape(shape)
-        vanish = total >= zero
-        total %= N
-        vals = T.exp[total]
-        vals[vanish] = 0
-        arr[s : s + chunk] = vals.reshape(len(e), -1)
+        total = logpow[0][e[:, 0]]
+        for i in range(1, n):
+            if i > 1:
+                total = T.log[T.exp[total]]
+            step = logpow[i][e[:, i]].reshape((len(e),) + (1,) * i + (-1,))
+            total = total[..., None] + step
+        # every index is in [0, 2Z], exp's range; "clip" lets take write into out unbuffered
+        np.take(T.exp, total, out=arr[s : s + chunk].reshape(total.shape), mode="clip")
     return arr
 
 

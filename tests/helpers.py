@@ -3,6 +3,8 @@
 import math
 import random
 
+import numpy as np
+
 from cartcodes import (
     CartesianCode,
     GeneratorMatrix,
@@ -56,6 +58,15 @@ def full_rank_profile(grid, dmax):
     arr = poly.monomial_rows(grid, list(poly.grevlex_exponents([dmax] * n, dmax)))
     prefixes = [math.comb(n + d, n) for d in range(dmax + 1)]
     return _kernels.rank_mod(arr, grid.field.tables(), prefixes=prefixes)
+
+
+def ref_matrix_format(matrix):
+    """GeneratorMatrix.format by one str() per code, joined a row at a time."""
+    lines = [f"{matrix.grid.field.q} {matrix.rows} {matrix.cols}"]
+    if matrix.array.size:
+        strs = np.array([str(c) for c in range(int(matrix.array.max()) + 1)], dtype=object)
+        lines += [" ".join(strs[row].tolist()) for row in matrix.array]
+    return "\n".join(lines) + "\n"
 
 
 def span_words(field, rows):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -25,8 +26,8 @@ from cartcodes import (
     standard_monomials,
     zero_bound,
 )
-from cartcodes import _kernels
-from helpers import random_grid, ref_extremal_codeword, span_words
+from cartcodes import _kernels, code as code_module
+from helpers import random_grid, ref_extremal_codeword, ref_matrix_format, span_words
 
 
 # -- normalization ----------------------------------------------------------
@@ -337,6 +338,45 @@ def test_matrix_file_format():
     mat = normalize_spec(F2, [(0, 1), (0, 1)], 1).generator_matrix()
     assert mat.format() == "2 3 4\n1 1 1 1\n0 1 0 1\n0 0 1 1\n"
     assert mat.legend() == "0 0\n0 1\n1 0\n"
+
+
+@pytest.mark.parametrize(
+    "p,e,sets,d",
+    [
+        # codes whose decimal width changes inside one row
+        (11, 1, [range(11)] * 2, 3),
+        (101, 1, [range(0, 101, 7), range(0, 101, 11)], 3),
+        (4099, 1, [range(4099)], 2),  # 1 to 4 digits
+        (2, 11, [range(1, 2048, 5)], 3),
+        (3, 7, [range(0, 2187, 3), (0, 1, 2186)], 1),
+        # one column: every coordinate set is a singleton
+        (7, 1, [(3,), (0,), (6,)], 2),
+        # the array's largest code is far below q - 1
+        (4099, 1, [(0, 1)] * 3, 2),
+    ],
+    ids=["F11", "F101", "F4099", "F2^11", "F3^7", "one-column", "F4099-{0,1}"],
+)
+def test_matrix_format_matches_reference(monkeypatch, p, e, sets, d):
+    F = make_field(p, e)
+    mat = normalize_spec(F, [tuple(s) for s in sets], d).generator_matrix()
+    want = ref_matrix_format(mat)
+    assert mat.format() == want
+    monkeypatch.setattr(code_module, "FORMAT_CHUNK_ENTRIES", 2 * mat.cols)  # two rows per slice
+    assert mat.format() == want
+
+
+def test_matrix_format_memory_is_bounded_by_output():
+    # one str() per code, or the whole (rows, cols, width + 1) byte block at once, exceeds the bound
+    F9 = make_field(3, 2)
+    mat = normalize_spec(F9, [tuple(range(9))] * 4, 8).generator_matrix()
+    tracemalloc.start()
+    try:
+        out = mat.format()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 6495401
+    assert peak < 2.5 * len(out)
 
 
 def test_matrix_build_above_table_limit():

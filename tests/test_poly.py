@@ -16,11 +16,12 @@ from cartcodes import (
     grevlex_key,
     loose_zero_bound,
     make_field,
+    poly,
     reduce_mod_grid,
     vanishing_univariate,
     zero_count,
 )
-from helpers import random_grid, random_poly
+from helpers import random_grid, random_poly, ref_mul, ref_pow
 
 
 def test_evaluate_examples():
@@ -225,3 +226,35 @@ def test_grevlex_exponents_match_sorted_box():
         d = rng.randint(0, 14)
         box = [e for e in product(*(range(c + 1) for c in caps)) if sum(e) <= d]
         assert list(grevlex_exponents(caps, d)) == sorted(box, key=grevlex_key)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (13, 1), (2, 11)])
+def test_monomial_rows_match_pointwise_reference(monkeypatch, p, e):
+    F = make_field(p, e)
+    rng = random.Random(1000 * p + e)
+    for n in (1, 2, 3, 4):
+        for _ in range(3):
+            sets = []
+            for _ in range(n):
+                s = rng.sample(range(F.q), rng.randint(1, min(F.q, 3)))
+                if rng.random() < 0.5 and 0 not in s:
+                    s[0] = 0
+                sets.append(sorted(s))
+            grid = Grid(F, sets)
+            # exponents past q - 1 wrap around; (0, ..., 0) checks 0^0 = 1
+            exps = {(0,) * n} | {tuple(rng.randint(0, F.q + 1) for _ in range(n)) for _ in range(5)}
+            exps = sorted(exps)
+            powers = {(x, k): ref_pow(F, x, k) for s, col in zip(sets, zip(*exps)) for x in s for k in col}
+            want = []
+            for a in exps:
+                row = []
+                for pt in grid.points():
+                    v = 1
+                    for x, k in zip(pt, a):
+                        v = ref_mul(F, v, powers[x, k])
+                    row.append(v)
+                want.append(row)
+            assert poly.monomial_rows(grid, exps).tolist() == want, (sets, exps)
+            with monkeypatch.context() as m:  # several row chunks
+                m.setattr(poly, "MONOMIAL_CHUNK_ENTRIES", 7)
+                assert poly.monomial_rows(grid, exps).tolist() == want, (sets, exps)
