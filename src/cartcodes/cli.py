@@ -168,7 +168,7 @@ def cmd_matrix(args) -> int:
     code = CartesianCode(Grid(field, parse_set_expressions(field, args.sets)), args.d)
     mat = code.generator_matrix()
     with open(args.out, "w") as fh:
-        fh.write(mat.format())
+        fh.writelines(mat.format_slices())  # one slice in memory at a time
     with open(args.out + ".legend", "w") as fh:
         fh.write(mat.legend())
     print(json.dumps({"out": args.out, "rows": mat.rows, "cols": mat.cols}))

@@ -188,12 +188,16 @@ def standard_monomials(cards, d: int) -> list[tuple[int, ...]]:
     return list(grevlex_exponents([c - 1 for c in cards], d))
 
 
-# Matrix entries written at once by GeneratorMatrix.format; bounds its byte blocks.
+# Matrix entries per slice of GeneratorMatrix.format_slices; bounds its byte blocks.
 FORMAT_CHUNK_ENTRIES = 1 << 17
 
 
 class GeneratorMatrix:
-    """Rows: footprint monomial evaluations (ascending grevlex); columns: grid points."""
+    """Rows: footprint monomial evaluations (ascending grevlex); columns: grid points.
+
+    `array` holds the codes in the narrowest unsigned dtype that holds q - 1
+    (see poly.monomial_rows); the copy cached by CartesianCode is read-only.
+    """
 
     __slots__ = ("grid", "d", "monomials", "array")
 
@@ -211,38 +215,49 @@ class GeneratorMatrix:
     def cols(self) -> int:
         return self.array.shape[1]
 
+    def format_slices(self):
+        """Yield the matrix file body in order, as text slices of whole rows.
+
+        The first slice is the header 'q n_rows n_cols'.  Each later one holds
+        the rows of about FORMAT_CHUNK_ENTRIES entries (at least one row),
+        written as bytes: a table of the codes 0..max holds one uint8 row per
+        decimal position (ASCII digits, right-aligned, 0 as padding).  The
+        slice gathers its digit planes into a (rows, cols, width + 1) byte
+        block whose last slot is a space, or a newline at the end of a row.
+        The padding bytes are dropped when some code has more than one digit,
+        and the slice is decoded as ASCII.  So a writer that consumes the
+        slices as they come never holds more than one of them.
+        """
+        yield f"{self.grid.field.q} {self.rows} {self.cols}\n"
+        if not self.array.size:
+            return
+        codes = np.arange(int(self.array.max()) + 1)
+        width = len(str(codes[-1]))
+        digits = np.zeros((width, codes.size), dtype=np.uint8)
+        for k in range(width - 1):
+            place = 10 ** (width - 1 - k)
+            digits[k] = np.where(codes >= place, 48 + codes // place % 10, 0)
+        digits[-1] = 48 + codes % 10  # every code has a units digit
+        chunk = max(1, FORMAT_CHUNK_ENTRIES // self.cols)
+        for s in range(0, self.rows, chunk):
+            block = self.array[s : s + chunk]
+            buf = np.empty(block.shape + (width + 1,), dtype=np.uint8)
+            for k in range(width):
+                buf[..., k] = np.take(digits[k], block)
+            buf[..., width] = 32
+            buf[:, -1, width] = 10
+            out = buf.reshape(-1)
+            if width > 1:
+                out = out[out != 0]
+            yield out.tobytes().decode("ascii")
+
     def format(self) -> str:
         """Matrix file body: 'q n_rows n_cols' then one row of codes per line.
 
-        Written as bytes: a table of the codes 0..max holds one uint8 row per
-        decimal position (ASCII digits, right-aligned, 0 as padding).  Each
-        slice of about FORMAT_CHUNK_ENTRIES entries gathers its digit planes
-        into a (rows, cols, width + 1) byte block whose last slot is a space,
-        or a newline at the end of a row.  The padding bytes are dropped when
-        some code has more than one digit, and the slice is decoded as ASCII.
+        The join of format_slices(); a file writer should write the slices
+        instead, so the whole body never exists as one string.
         """
-        parts = [f"{self.grid.field.q} {self.rows} {self.cols}\n"]
-        if self.array.size:
-            codes = np.arange(int(self.array.max()) + 1)
-            width = len(str(codes[-1]))
-            digits = np.zeros((width, codes.size), dtype=np.uint8)
-            for k in range(width - 1):
-                place = 10 ** (width - 1 - k)
-                digits[k] = np.where(codes >= place, 48 + codes // place % 10, 0)
-            digits[-1] = 48 + codes % 10  # every code has a units digit
-            chunk = max(1, FORMAT_CHUNK_ENTRIES // self.cols)
-            for s in range(0, self.rows, chunk):
-                block = self.array[s : s + chunk]
-                buf = np.empty(block.shape + (width + 1,), dtype=np.uint8)
-                for k in range(width):
-                    buf[..., k] = np.take(digits[k], block)
-                buf[..., width] = 32
-                buf[:, -1, width] = 10
-                out = buf.reshape(-1)
-                if width > 1:
-                    out = out[out != 0]
-                parts.append(out.tobytes().decode("ascii"))
-        return "".join(parts)
+        return "".join(self.format_slices())
 
     def legend(self) -> str:
         """Sidecar body: exponent vectors in row order."""

@@ -32,6 +32,7 @@ from .code import (
     extremal_codeword,
     min_distance_formula,
     standard_monomials,
+    zero_bound,
 )
 from .errors import BudgetExceededError
 from .grid import Grid
@@ -131,11 +132,12 @@ def _rank_profile(grid: Grid, dmax: int) -> list[int]:
     that matrix gives every ranks[d] as a prefix rank (see _kernels.rank_mod).
     Rows observed to repeat a lower-degree row are left out (_exponent_caps):
     each stays in the span of its prefix, so no prefix rank changes.  The
-    caller has admitted dmax.
+    caller has admitted dmax.  monomial_rows gives narrow codes; they are
+    converted once to int64, the array that rank_mod eliminates in place.
     """
     T = grid.field.tables()
     exps = list(grevlex_exponents(_exponent_caps(grid.sets, T, dmax), dmax))
-    arr = monomial_rows(grid, exps)
+    arr = monomial_rows(grid, exps).astype(np.int64)
     counts = [0] * (dmax + 1)
     for e in exps:
         counts[sum(e)] += 1
@@ -260,8 +262,12 @@ def verify_params(
 
     run("rank_dimension", dim, rank_oracle)
     run("min_distance", delta, lambda: _min_weight(code, overrun))
-    run("max_zeros", length - delta, lambda: length - _min_weight(code, overrun))
-    if 1 <= d <= code.regularity - 1:
+    interior = 1 <= d <= code.regularity - 1
+    # the paper's sharp zero bound where it is defined; the boundary degrees
+    # (d = 0, d >= regularity) keep length - delta
+    zeros = zero_bound(cards, d) if interior else length - delta
+    run("max_zeros", zeros, lambda: length - _min_weight(code, overrun))
+    if interior:
         run(
             "extremal_weight",
             delta,

@@ -348,13 +348,21 @@ def monomial_rows(grid: Grid, exps_list) -> np.ndarray:
     every sum of two terms is below Z unless a factor is 0, and at most 2Z if
     one is; the last, full-size step is one add and one gather from exp, whose
     zero tail maps every index from Z to 2Z to 0.
+
+    The rows are in the narrowest unsigned dtype that holds a code,
+    np.min_scalar_type(q - 1): uint8 up to q = 256, uint16 up to 65536 and
+    uint32 above.  The final gather reads a copy of exp in that dtype and
+    writes straight into the output rows, so no full-size int64 array is
+    made.  Callers that do table arithmetic in place convert a copy.
     """
     rows = len(exps_list)
-    arr = np.empty((rows, grid.size), dtype=np.int64)
+    N = grid.field.q - 1
+    arr = np.empty((rows, grid.size), dtype=np.min_scalar_type(N))
     if rows == 0:
         return arr
     T = grid.field.tables()
-    n, N = grid.n, grid.field.q - 1
+    n = grid.n
+    exp = T.exp.astype(arr.dtype)  # codes are below q, so the narrowing is exact
     exps = np.array(exps_list, dtype=np.int64).reshape(rows, n)
     logpow = []  # logpow[i][a, j] = log(A_i[j]^a): in [0, N), or Z where that power is 0
     for i, s in enumerate(grid.sets):
@@ -372,7 +380,7 @@ def monomial_rows(grid: Grid, exps_list) -> np.ndarray:
             step = logpow[i][e[:, i]].reshape((len(e),) + (1,) * i + (-1,))
             total = total[..., None] + step
         # every index is in [0, 2Z], exp's range; "clip" lets take write into out unbuffered
-        np.take(T.exp, total, out=arr[s : s + chunk].reshape(total.shape), mode="clip")
+        np.take(exp, total, out=arr[s : s + chunk].reshape(total.shape), mode="clip")
     return arr
 
 

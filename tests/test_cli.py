@@ -1,6 +1,7 @@
 """CLI subcommands: reports, formats, files, exit codes, schema stability."""
 
 import json
+import tracemalloc
 from importlib import resources
 
 import jsonschema
@@ -146,6 +147,22 @@ def test_matrix_square_when_saturated(tmp_path, capsys):
     assert head == "3 9 9"
 
 
+def test_matrix_command_memory_is_bounded(tmp_path, capsys):
+    # F9^4 d = 8: 495 x 6561 codes, 3.1 MiB as bytes and 24.8 MiB as int64; the file
+    # is 6.5 MB, so holding the whole text once, or the matrix as int64, exceeds the bound
+    argv = ["matrix", "--q", "9", "--sets", "fullx4", "--d", "8", "--out", str(tmp_path / "m.mat")]
+    tracemalloc.start()
+    try:
+        rc = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["rows"] == 495
+    assert (tmp_path / "m.mat").stat().st_size == 6495401
+    assert peak < 8 * 2**20
+
+
 def test_matrix_bad_path_exit_2(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "matrix", "--q", "2", "--sets", "full,full",
                          "--d", "1", "--out", str(tmp_path / "missing" / "mat.txt"))
@@ -194,6 +211,22 @@ def test_verify_dall_negative_control(capsys, monkeypatch):
     assert rank[0]["status"] == "pass"  # the damage sits in row 1, outside the d = 0 prefix
     assert rank[1]["status"] == "fail"
     assert rank[1]["detail"] == "oracle 2 != formula 3"
+
+
+def test_verify_fails_on_damaged_zero_bound(capsys, monkeypatch):
+    # max_zeros reads the sharp zero bound for 1 <= d <= regularity - 1, so damage there must fail
+    real = oracle.zero_bound
+    monkeypatch.setattr(oracle, "zero_bound", lambda cards, d: real(cards, d) + 1)
+    rc, out, _ = run_cli(capsys, "verify", "--q", "4", "--sets", "fullx3", "--dall")
+    assert rc == 1
+    report = json.loads(out)
+    _validate(report, "verify_report")
+    failed = [(c["name"], c["d"]) for c in report["checks"] if c["status"] == "fail"]
+    assert failed and all(name == "max_zeros" and 1 <= d <= 8 for name, d in failed)
+    zeros = {c["d"]: c for c in report["checks"] if c["name"] == "max_zeros"}
+    # the boundary degrees keep length - delta (d = 9, the full space, is over the scan budget)
+    assert zeros[0]["status"] == "pass" and zeros[0]["formula"] == 64 - 64
+    assert zeros[9]["formula"] == 64 - 1
 
 
 @pytest.mark.parametrize("q,sets", [("3", "full,full"), ("4", "{0,1},full")])

@@ -26,8 +26,8 @@ from cartcodes import (
     standard_monomials,
     zero_bound,
 )
-from cartcodes import _kernels, code as code_module
-from helpers import random_grid, ref_extremal_codeword, ref_matrix_format, span_words
+from cartcodes import _kernels, cli, code as code_module
+from helpers import random_grid, ref_extremal_codeword, ref_matrix_format, ref_pow, span_words
 
 
 # -- normalization ----------------------------------------------------------
@@ -224,14 +224,38 @@ def test_generator_matrix_saturated_is_square_invertible():
 
 
 def test_cached_generator_matrix_is_read_only():
-    # rank_mod eliminates its input in place, so handing it the cached matrix must fail
+    # the cached matrix is shared by every caller, so no write may reach it
     F3 = make_field(3)
     code = normalize_spec(F3, [(0, 1, 2), (0, 1, 2)], 4)
-    before = code.generator_matrix().array.copy()
+    arr = code.generator_matrix().array
+    before = arr.copy()
+    assert not arr.flags.writeable
     with pytest.raises(ValueError):
-        _kernels.rank_mod(code.generator_matrix().array, F3.tables())
+        arr[0, 0] = 1
+    # rank_mod eliminates an int64 input in place; the narrow codes are converted to a copy
+    assert _kernels.rank_mod(arr, F3.tables()) == 9
     assert np.array_equal(code.generator_matrix().array, before)
-    assert _kernels.rank_mod(code.generator_matrix().array.copy(), F3.tables()) == 9
+
+
+@pytest.mark.parametrize(
+    "p,e,want",
+    [
+        (3, 1, np.uint8),
+        (2, 8, np.uint8),  # q = 256
+        (257, 1, np.uint16),
+        (4099, 1, np.uint16),
+        (2, 16, np.uint16),  # q = 65536
+        (65537, 1, np.uint32),
+    ],
+    ids=["F3", "F2^8", "F257", "F4099", "F2^16", "F65537"],
+)
+def test_generator_matrix_dtype_boundaries(p, e, want):
+    F = make_field(p, e)
+    q = F.q
+    sets = [0, 1, q - 1]
+    mat = normalize_spec(F, [sets], 2).generator_matrix()
+    assert mat.array.dtype == want == np.min_scalar_type(q - 1)
+    assert mat.array.tolist() == [[ref_pow(F, x, k) for x in sets] for k in range(3)]
 
 
 @pytest.mark.parametrize(
@@ -340,7 +364,7 @@ def test_matrix_file_format():
     assert mat.legend() == "0 0\n0 1\n1 0\n"
 
 
-@pytest.mark.parametrize(
+format_cases = pytest.mark.parametrize(
     "p,e,sets,d",
     [
         # codes whose decimal width changes inside one row
@@ -356,6 +380,9 @@ def test_matrix_file_format():
     ],
     ids=["F11", "F101", "F4099", "F2^11", "F3^7", "one-column", "F4099-{0,1}"],
 )
+
+
+@format_cases
 def test_matrix_format_matches_reference(monkeypatch, p, e, sets, d):
     F = make_field(p, e)
     mat = normalize_spec(F, [tuple(s) for s in sets], d).generator_matrix()
@@ -363,6 +390,23 @@ def test_matrix_format_matches_reference(monkeypatch, p, e, sets, d):
     assert mat.format() == want
     monkeypatch.setattr(code_module, "FORMAT_CHUNK_ENTRIES", 2 * mat.cols)  # two rows per slice
     assert mat.format() == want
+
+
+@format_cases
+def test_matrix_command_file_equals_reference(monkeypatch, tmp_path, capsys, p, e, sets, d):
+    # the command writes format_slices() to the file as they come, never format() whole
+    F = make_field(p, e)
+    want = ref_matrix_format(normalize_spec(F, [tuple(s) for s in sets], d).generator_matrix())
+    spec = ",".join("{" + ",".join(str(x) for x in s) + "}" for s in sets)
+    out = tmp_path / "m.mat"
+    argv = ["matrix", "--q", str(F.q), "--sets", spec, "--d", str(d), "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert out.read_bytes() == want.encode("ascii")
+    cols = want.split("\n", 1)[0].split()[2]
+    monkeypatch.setattr(code_module, "FORMAT_CHUNK_ENTRIES", 2 * int(cols))  # two rows per slice
+    assert cli.main(argv) == 0
+    assert out.read_bytes() == want.encode("ascii")
+    capsys.readouterr()
 
 
 def test_matrix_format_memory_is_bounded_by_output():

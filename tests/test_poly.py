@@ -1,8 +1,10 @@
 """Polynomials: evaluation, text format, grid reduction, zero counting."""
 
 import random
+import tracemalloc
 from itertools import product
 
+import numpy as np
 import pytest
 
 from cartcodes import (
@@ -254,7 +256,26 @@ def test_monomial_rows_match_pointwise_reference(monkeypatch, p, e):
                         v = ref_mul(F, v, powers[x, k])
                     row.append(v)
                 want.append(row)
-            assert poly.monomial_rows(grid, exps).tolist() == want, (sets, exps)
+            got = poly.monomial_rows(grid, exps)
+            assert got.dtype == np.min_scalar_type(F.q - 1)
+            assert got.tolist() == want, (sets, exps)
             with monkeypatch.context() as m:  # several row chunks
                 m.setattr(poly, "MONOMIAL_CHUNK_ENTRIES", 7)
                 assert poly.monomial_rows(grid, exps).tolist() == want, (sets, exps)
+
+
+def test_monomial_rows_memory_is_bounded():
+    # F9^4 d = 8: the 495 x 6561 rows are 3.1 MiB as bytes; an int64 copy of them
+    # (24.8 MiB), or int64 temporaries beyond a chunk, exceed the bound
+    F = make_field(3, 2)
+    grid = Grid(F, [tuple(range(9))] * 4)
+    exps = list(grevlex_exponents([8] * 4, 8))
+    F.tables()
+    tracemalloc.start()
+    try:
+        arr = poly.monomial_rows(grid, exps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert arr.shape == (495, 6561)
+    assert peak < arr.nbytes + 2 * 2**20
