@@ -8,6 +8,7 @@ validation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -211,6 +212,7 @@ def cmd_construct(args) -> int:
     return 0
 
 
+@functools.cache  # built on the first main() call, then reused
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cartcodes",
@@ -227,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_field_args(p)
     p.add_argument("--sets", required=True, help="per-coordinate set expressions")
     p.add_argument("--d", type=int, required=True)
-    p.set_defaults(func=cmd_params)
 
     t = sub.add_parser("table", help="parameter table for d = 1..dmax")
     add_field_args(t, required=False)
@@ -235,14 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--torus", help="degenerate-torus degrees d1,d2,...")
     t.add_argument("--dmax", type=int, required=True)
     t.add_argument("--format", choices=("csv", "json", "md"), default="md")
-    t.set_defaults(func=cmd_table)
 
     m = sub.add_parser("matrix", help="write generator matrix and monomial legend")
     add_field_args(m)
     m.add_argument("--sets", required=True)
     m.add_argument("--d", type=int, required=True)
     m.add_argument("--out", required=True, help="matrix file path (legend at PATH.legend)")
-    m.set_defaults(func=cmd_matrix)
 
     v = sub.add_parser("verify", help="brute-force oracles vs formulas")
     add_field_args(v)
@@ -250,12 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--d", type=int)
     v.add_argument("--dall", action="store_true", help="verify every d up to the regularity")
     v.add_argument("--max-words", type=int, default=OracleBudget.max_words)
-    v.set_defaults(func=cmd_verify)
 
     c = sub.add_parser("construct", help="degenerate torus with prescribed set sizes")
     c.add_argument("--degrees", required=True, help="comma-separated sizes, each >= 2")
     c.add_argument("--allow-prime-powers", action="store_true")
-    c.set_defaults(func=cmd_construct)
 
     return ap
 
@@ -263,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call, so a rebound cmd_* is used by the cached parser
+        return globals()[f"cmd_{args.command}"](args)
     except (CartesianCodeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

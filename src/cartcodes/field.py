@@ -147,10 +147,14 @@ class FieldTables:
     holds when a or b is 0 too: d in [N, Z] (b = 0) maps to 0 and d in
     [-Z, -N] (a = 0) maps to d itself.  In characteristic 2 addition is the
     XOR of codes and there is no zech table.  The operations broadcast like
-    numpy ufuncs and take scalars as well as arrays.
+    numpy ufuncs and take scalars as well as arrays.  log, exp and zech hold
+    int64, so sums of logs and the codes that mul and add return are int64.
+    neg, inv and narrow_exp (a copy of exp for gathers that write narrow
+    codes) hold codes only, in the narrowest unsigned dtype that holds one
+    (uint8 up to q = 256).
     """
 
-    __slots__ = ("q", "p", "sentinel", "log", "exp", "zech", "neg", "inv")
+    __slots__ = ("q", "p", "sentinel", "log", "exp", "narrow_exp", "zech", "neg", "inv")
 
     def __init__(self, field: "Field"):
         q, p = field.q, field.p
@@ -172,11 +176,13 @@ class FieldTables:
             zech[:n] = np.arange(-z, -n + 1)
             zech[n:z] = zech_units[1:]
             zech[z : z + n] = zech_units
-        inv = np.zeros(q, dtype=np.int64)  # inv[0] is unused and left at 0
+        code = np.min_scalar_type(n)  # codes are below q, so narrowing them is exact
+        inv = np.zeros(q, dtype=code)  # inv[0] is unused and left at 0
         inv[1:] = exp[-log[1:] % n]
         self.q, self.p, self.sentinel = q, p, z
         self.log, self.exp, self.zech, self.inv = log, exp, zech, inv
-        self.neg = exp[log + (0 if p == 2 else n // 2)]  # -1 = g^(N/2) for odd p
+        self.narrow_exp = exp.astype(code)
+        self.neg = exp[log + (0 if p == 2 else n // 2)].astype(code)  # -1 = g^(N/2) for odd p
 
     def mul(self, a, b):
         log = self.log

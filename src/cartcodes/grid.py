@@ -9,6 +9,20 @@ from .errors import DuplicateElementError, EmptySetError
 from .field import Field
 
 
+def _sorted_codes(field: Field, s: tuple) -> list[int]:
+    """The codes of the nonempty set s as sorted ints; raises if one is not a code.
+
+    A set of Python ints is checked by its least and greatest element.
+    Anything else, or a failed check, goes through field.validate one element
+    at a time, which raises the typed error for the first bad element.
+    """
+    if set(map(type, s)) <= {int}:
+        vals = sorted(s)
+        if vals[0] >= 0 and vals[-1] < field.q:
+            return vals
+    return sorted(field.validate(c) for c in s)
+
+
 class Grid:
     """A_1 x ... x A_n with each A_i a sorted, duplicate-free subset of F_q.
 
@@ -26,10 +40,13 @@ class Grid:
         for i, s in enumerate(raw):
             if not s:
                 raise EmptySetError(f"coordinate set {i + 1} is empty")
-            vals = tuple(sorted(field.validate(c) for c in s))
+            vals = _sorted_codes(field, s)
             if len(set(vals)) != len(vals):
                 raise DuplicateElementError(f"coordinate set {i + 1} repeats an element")
-            clean.append(vals)
+            clean.append(tuple(vals))
+        self._assign(field, clean)
+
+    def _assign(self, field, clean):
         self.field = field
         self.sets = tuple(clean)
         self.cards = tuple(len(s) for s in clean)
@@ -55,7 +72,8 @@ class Grid:
         if not kept:
             kept = (0,)
         dropped = tuple(i for i in range(self.n) if i not in kept)
-        sub = Grid(self.field, [self.sets[i] for i in kept])
+        sub = Grid.__new__(Grid)  # the sets are already validated
+        sub._assign(self.field, [self.sets[i] for i in kept])
         return sub, kept, dropped
 
     def __eq__(self, other):

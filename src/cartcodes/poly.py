@@ -351,9 +351,11 @@ def monomial_rows(grid: Grid, exps_list) -> np.ndarray:
 
     The rows are in the narrowest unsigned dtype that holds a code,
     np.min_scalar_type(q - 1): uint8 up to q = 256, uint16 up to 65536 and
-    uint32 above.  The final gather reads a copy of exp in that dtype and
-    writes straight into the output rows, so no full-size int64 array is
-    made.  Callers that do table arithmetic in place convert a copy.
+    uint32 above.  The final gather reads the tables' copy of exp in that
+    dtype (FieldTables.narrow_exp, built once per field) and writes straight
+    into the output rows, so no full-size int64 array is made and a call's
+    fixed cost does not grow with q.  Callers that do table arithmetic in
+    place convert a copy.
     """
     rows = len(exps_list)
     N = grid.field.q - 1
@@ -362,7 +364,6 @@ def monomial_rows(grid: Grid, exps_list) -> np.ndarray:
         return arr
     T = grid.field.tables()
     n = grid.n
-    exp = T.exp.astype(arr.dtype)  # codes are below q, so the narrowing is exact
     exps = np.array(exps_list, dtype=np.int64).reshape(rows, n)
     logpow = []  # logpow[i][a, j] = log(A_i[j]^a): in [0, N), or Z where that power is 0
     for i, s in enumerate(grid.sets):
@@ -380,7 +381,7 @@ def monomial_rows(grid: Grid, exps_list) -> np.ndarray:
             step = logpow[i][e[:, i]].reshape((len(e),) + (1,) * i + (-1,))
             total = total[..., None] + step
         # every index is in [0, 2Z], exp's range; "clip" lets take write into out unbuffered
-        np.take(exp, total, out=arr[s : s + chunk].reshape(total.shape), mode="clip")
+        np.take(T.narrow_exp, total, out=arr[s : s + chunk].reshape(total.shape), mode="clip")
     return arr
 
 

@@ -7,6 +7,8 @@ import numpy as np
 
 from cartcodes import (
     CartesianCode,
+    DuplicateElementError,
+    EmptySetError,
     GeneratorMatrix,
     Grid,
     MultiPoly,
@@ -42,6 +44,26 @@ def random_poly(field, n, max_deg, rng: random.Random, max_terms=6, caps=None, n
             return poly
 
 
+def ref_grid_sets(field, sets):
+    """Grid's validated sets, checked with one field.validate call per element.
+
+    The per-element reference for Grid's construction: the same sorted
+    tuples, or the same typed error with the same message.
+    """
+    raw = [tuple(s) for s in sets]
+    if not raw:
+        raise EmptySetError("a grid needs at least one coordinate set")
+    clean = []
+    for i, s in enumerate(raw):
+        if not s:
+            raise EmptySetError(f"coordinate set {i + 1} is empty")
+        vals = tuple(sorted(field.validate(c) for c in s))
+        if len(set(vals)) != len(vals):
+            raise DuplicateElementError(f"coordinate set {i + 1} repeats an element")
+        clean.append(vals)
+    return tuple(clean)
+
+
 def random_grid(field, cards, rng: random.Random) -> Grid:
     """Grid whose coordinate sets are random subsets of the stated sizes."""
     sets = [sorted(rng.sample(range(field.q), c)) for c in cards]
@@ -58,6 +80,41 @@ def full_rank_profile(grid, dmax):
     arr = poly.monomial_rows(grid, list(poly.grevlex_exponents([dmax] * n, dmax)))
     prefixes = [math.comb(n + d, n) for d in range(dmax + 1)]
     return _kernels.rank_mod(arr, grid.field.tables(), prefixes=prefixes)
+
+
+def ref_pivot_rows(M, tables) -> np.ndarray:
+    """_kernels._pivot_rows by right-looking elimination: every step updates all later columns.
+
+    The same swap-free elimination with the same pivot rule, on the whole
+    matrix at once and to its last column.  M is eliminated in place.
+    """
+    rows, cols = M.shape
+    n = tables.q - 1
+    log, exp, z = tables.log, tables.exp, tables.sentinel
+    shift = 0 if tables.p == 2 else n // 2  # log(-1)
+    live = np.arange(rows)
+    pivots = []
+    for c in range(cols):
+        nz = M[live, c].nonzero()[0]
+        if nz.size == 0:
+            continue
+        k = nz[0]
+        piv = live[k]
+        pivots.append(piv)
+        hit = live[nz[1:]]
+        live = np.concatenate((live[:k], live[k + 1 :]))
+        if hit.size == 0 or c == cols - 1:
+            continue
+        # log(-row / row[c]) of the pivot row; zero entries keep the sentinel
+        prow = M[piv, c + 1 :]
+        lrow = (log[prow] - log[M[piv, c]] + shift) % n
+        lrow[prow == 0] = z
+        chunk = max(1, _kernels.CHUNK_ENTRIES // lrow.size)
+        for s in range(0, hit.size, chunk):  # bounded temporaries
+            sel = hit[s : s + chunk]
+            scaled = exp[log[M[sel, c]][:, None] + lrow[None, :]]
+            M[sel, c + 1 :] = tables.add(M[sel, c + 1 :], scaled)
+    return np.sort(np.array(pivots, dtype=np.int64))
 
 
 def ref_matrix_format(matrix):

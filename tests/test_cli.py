@@ -320,3 +320,43 @@ def test_field_cap_env_var_malformed(capsys, monkeypatch):
         rc, out, err = run_cli(capsys, "params", "--q", "5", "--sets", "full", "--d", "1")
         assert rc == 2 and out == ""
         assert "CARTESIAN_MAX_FIELD" in err and repr(raw) in err
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    for args in (
+        ("params", "--q", "9", "--sets", "fullx2", "--d", "3"),
+        ("table", "--torus", "2,5,9", "--dmax", "13"),
+        ("construct", "--degrees", "2,5,9"),
+    ):
+        rc1, first, _ = run_cli(capsys, *args)
+        rc2, second, _ = run_cli(capsys, *args)
+        assert (rc1, rc2) == (0, 0)
+        assert first and first == second
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_bad_argv_exits_2_after_a_good_call(capsys):
+    assert run_cli(capsys, "params", "--q", "3", "--sets", "full", "--d", "1")[0] == 0
+    for argv in (["params", "--q", "3"], ["nosuch"], [], ["verify", "--q", "x", "--sets", "full"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "usage: cartcodes" in capsys.readouterr().err
+    assert run_cli(capsys, "params", "--q", "3", "--sets", "full", "--d", "1")[0] == 0
+
+
+def test_cached_parser_calls_the_command_bound_at_call_time(capsys, monkeypatch):
+    assert run_cli(capsys, "params", "--q", "3", "--sets", "full", "--d", "1")[0] == 0
+    calls = []
+    original = cli.cmd_params
+
+    def wrapped(args):
+        calls.append(args.command)
+        return original(args)
+
+    monkeypatch.setattr(cli, "cmd_params", wrapped)
+    assert run_cli(capsys, "params", "--q", "3", "--sets", "full", "--d", "1")[0] == 0
+    assert calls == ["params"]
+    monkeypatch.undo()
+    assert run_cli(capsys, "params", "--q", "3", "--sets", "full", "--d", "1")[0] == 0
+    assert calls == ["params"]

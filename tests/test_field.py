@@ -222,6 +222,9 @@ def test_tables_build_at_the_cap(p, e):
     assert np.array_equal(T.exp[T.log[units]], units)
     assert np.array_equal(T.mul(units, T.inv[units]), np.ones(F.q - 1))
     assert not T.add(units, T.neg[units]).any()
+    # tables of codes in the code dtype (uint32 above 2^16), equal to the int64 ones
+    assert T.neg.dtype == T.inv.dtype == T.narrow_exp.dtype == np.uint32
+    assert np.array_equal(T.narrow_exp, T.exp)
     rng = random.Random(F.q)
     for _ in range(20):
         x, y = rng.randrange(F.q), rng.randrange(F.q)

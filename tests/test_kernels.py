@@ -9,7 +9,7 @@ import pytest
 
 from cartcodes import make_field, normalize_spec
 from cartcodes import _kernels
-from helpers import span_words
+from helpers import ref_pivot_rows, span_words
 
 
 def _random_rows(field, k, length, rng):
@@ -255,3 +255,132 @@ def test_rank_prefix_profile(p, e):
         for R in counts[1:]:
             if F.q ** min(R, M.shape[1]) <= 1 << 10:  # span sizes stay small
                 assert len(span_words(F, M[:R].tolist())) == F.q ** profile[R]
+
+
+# -- column panels: the same pivots and entries as the right-looking reference --
+
+RANK_PANEL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 11)]
+
+
+def _full_rank_rows(F, rows, cols, rng):
+    """Random rows x cols codes of rank min(rows, cols) (by the reference)."""
+    while True:
+        M = _random_rows(F, rows, cols, rng)
+        if ref_pivot_rows(M.copy(), F.tables()).size == min(rows, cols):
+            return M
+
+
+def _panel_end_pivots(F, rows, rng):
+    """Wide rows x cols codes whose pivot k falls on the last column of panel k.
+
+    Column hi_k - 1 of panel k is zero above row k, nonzero in row k and random
+    below it, and every other column of the first panels is zero; the columns
+    past them are random.
+    """
+    bounds = list(_kernels._panels(rows, 10 * rows + 7))
+    cols = bounds[-1][1]
+    M = _random_rows(F, rows, cols, rng)
+    planted = min(rows, len(bounds) - 1)
+    M[:, : bounds[planted - 1][1]] = 0
+    for k in range(planted):
+        c = bounds[k][1] - 1
+        M[k, c] = rng.randrange(1, F.q)
+        M[k + 1 :, c] = [rng.randrange(F.q) for _ in range(rows - k - 1)]
+    return M
+
+
+def _rank_panel_cases(F, rng):
+    """(name, matrix) pairs: wide, rank-deficient, square, tall, zero columns, panel ends."""
+    cases = []
+    for rows in (1, 2, 3, 5):
+        cases.append(("wide full rank", _full_rank_rows(F, rows, 12 * rows + rng.randrange(9), rng)))
+        basis = _random_rows(F, max(1, rows - 2), 11 * rows + 3, rng)
+        mix = _random_rows(F, rows, basis.shape[0], rng)
+        deficient = np.zeros((rows, basis.shape[1]), dtype=np.int64)  # rows of mix @ basis
+        T = F.tables()
+        for i in range(basis.shape[0]):
+            deficient = T.add(deficient, T.mul(mix[:, i : i + 1], basis[i]))
+        cases.append(("wide rank-deficient", deficient))
+        cases.append(("square", _random_rows(F, rows, rows, rng)))
+        cases.append(("tall", _random_rows(F, 2 * rows + 1, rows, rng)))
+        Z = _full_rank_rows(F, rows, 9 * rows + 5, rng)
+        Z[:, rng.sample(range(Z.shape[1]), Z.shape[1] // 2)] = 0
+        Z[:, : 2 * rows] = 0  # the whole first panel when it is 2 * rows wide
+        cases.append(("zero columns", Z))
+        cases.append(("pivots on panel ends", _panel_end_pivots(F, rows, rng)))
+    return cases
+
+
+def _last_pivot_column(M, tables):
+    """The column of the last pivot of M (full row rank), by column-prefix ranks."""
+    rows = M.shape[0]
+    lo, hi = 0, M.shape[1] - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ref_pivot_rows(M[:, : mid + 1].copy(), tables).size == rows:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+@pytest.mark.parametrize("panel", [1, 2, 3])
+@pytest.mark.parametrize("p,e", RANK_PANEL_FIELDS)
+def test_rank_panels_match_right_looking_reference(monkeypatch, p, e, panel):
+    monkeypatch.setattr(_kernels, "PANEL_COLS", panel)
+    F = make_field(p, e)
+    T = F.tables()
+    rng = random.Random(400 * p + 10 * e + panel)
+    for name, M in _rank_panel_cases(F, rng):
+        rows, cols = M.shape
+        ref_M = M.copy()
+        ref = ref_pivot_rows(ref_M, T)
+        got_M = M.copy()
+        got = _kernels._pivot_rows(got_M, T)
+        assert got.tolist() == ref.tolist(), name
+        counts = list(range(rows + 1))
+        assert _kernels.rank_mod(M.copy(), T, prefixes=counts) == np.searchsorted(ref, counts).tolist()
+        # every panel up to the last pivot's is eliminated exactly as the reference
+        # does it; past it, the elimination returned and the input is untouched
+        end = cols
+        if ref.size == rows:
+            last = _last_pivot_column(M, T)
+            end = next(hi for lo, hi in _kernels._panels(rows, cols) if lo <= last < hi)
+        assert np.array_equal(got_M[:, :end], ref_M[:, :end]), name
+        assert np.array_equal(got_M[:, end:], M[:, end:]), name
+
+
+@pytest.mark.parametrize("p,e", RANK_PANEL_FIELDS)
+def test_rank_leaves_columns_past_the_first_panel_untouched(p, e):
+    # M = [A | B] with A invertible: every row is a pivot by column r - 1, so the
+    # elimination returns within the first panel and never reads B's columns there
+    # (the right-looking elimination rewrote all of them)
+    F = make_field(p, e)
+    T = F.tables()
+    rng = random.Random(500 * p + e)
+    r = 6
+    A = _full_rank_rows(F, r, r, rng)
+    B = _random_rows(F, r, 3 * _kernels.PANEL_COLS, rng)
+    M = np.hstack([A, B])
+    work = M.copy()
+    assert _kernels.rank_mod(work, T) == r
+    first = next(_kernels._panels(r, M.shape[1]))[1]
+    assert first == _kernels.PANEL_COLS
+    assert np.array_equal(work[:, first:], M[:, first:])
+    assert not np.array_equal(work[:, :first], M[:, :first])
+
+
+def test_rank_panel_schedule():
+    # one panel for square, tall and every matrix up to max(2 * rows, PANEL_COLS)
+    # columns; past that the panel ends grow fourfold, so a few panels cover it all
+    w = _kernels.PANEL_COLS
+    for rows, cols in [(343, 343), (495, 125), (10, 125), (91, 1), (1, w)]:
+        assert list(_kernels._panels(rows, cols)) == [(0, cols)]
+    assert list(_kernels._panels(91, 4096)) == [(0, w), (w, 4 * w), (4 * w, 4096)]
+    assert list(_kernels._panels(300, 4096)) == [(0, 600), (600, 2400), (2400, 4096)]
+    for rows, cols in [(1, 10**6), (7, 999), (200, 12345)]:
+        bounds = list(_kernels._panels(rows, cols))
+        assert bounds[0] == (0, min(cols, max(2 * rows, w)))
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+        assert bounds[-1][1] == cols
+        assert len(bounds) <= 2 + math.log(cols / bounds[0][1], 4)

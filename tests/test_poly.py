@@ -23,7 +23,7 @@ from cartcodes import (
     vanishing_univariate,
     zero_count,
 )
-from helpers import random_grid, random_poly, ref_mul, ref_pow
+from helpers import random_grid, random_poly, ref_grid_sets, ref_mul, ref_pow
 
 
 def test_evaluate_examples():
@@ -117,6 +117,72 @@ def test_grid_construction_and_points():
         Grid(F2, [()])
     with pytest.raises(DuplicateElementError):
         Grid(F2, [(0, 0, 1)])
+
+
+def _outcome(build):
+    """The value build() returns, or the type and message of what it raises."""
+    try:
+        return build()
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+GRID_INPUTS = [
+    [(0, 1, 2)],
+    [(2, 0, 1), (4, 3)],
+    [(0, 1.0)],
+    [(0, 1.5)],
+    [(0, "1")],
+    [(0, None)],
+    [(0, -1)],
+    [(3, 0, -2, -1)],
+    [(0, 5)],
+    [(0, 1), (4, 7, 5)],
+    [(0, 2**63)],
+    [(0, 2**64 + 1)],
+    [(0, -(2**63) - 1)],
+    [(np.int64(0), np.int64(3))],
+    [(np.int64(0), np.int64(5))],
+    [(np.uint8(1), 2, np.int32(-1))],
+    [(True, 0)],
+    [(True, 1)],
+    [(1, 0, 1)],
+    [(0, 1), (2, 3, 2)],
+    [()],
+    [(0,), ()],
+    [(), (0, 9)],
+    [],
+    [np.array([3, 0, 1])],
+    [np.array([], dtype=np.int64)],
+    [np.array([0, 5])],
+    [np.array([0, -1])],
+    [np.array([0, 2**63], dtype=np.uint64)],
+    [np.array([0, 1, 0])],
+    [np.array([0.0, 1.0])],
+    [np.array([True, False])],
+    [np.array([[0, 1], [2, 3]])],
+    [range(5), [4, 2]],
+]
+
+
+@pytest.mark.parametrize("sets", GRID_INPUTS, ids=range(len(GRID_INPUTS)))
+def test_grid_validation_matches_per_element_reference(sets):
+    F5 = make_field(5)
+    got = _outcome(lambda: Grid(F5, sets).sets)
+    assert got == _outcome(lambda: ref_grid_sets(F5, sets))
+    if isinstance(got, tuple) and got and isinstance(got[0], tuple):
+        assert all(type(c) is int for s in got for c in s)
+
+
+def test_normalized_grid_keeps_validated_sets():
+    F = make_field(4099)
+    g = Grid(F, [range(4099), (5,), np.array([7, 3, 1])])
+    sub, kept, dropped = g.normalized()
+    assert (kept, dropped) == ((2, 0), (1,))
+    assert sub.sets == ((1, 3, 7), tuple(range(4099)))
+    assert sub == Grid(F, [(1, 3, 7), range(4099)])
+    assert (sub.cards, sub.n, sub.size) == ((3, 4099), 2, 3 * 4099)
+    assert Grid(F, [(x for x in (4, 2))]).sets == ((2, 4),)  # a one-shot iterator
 
 
 def test_grid_point_count_from_subgroups():
@@ -279,3 +345,21 @@ def test_monomial_rows_memory_is_bounded():
         tracemalloc.stop()
     assert arr.shape == (495, 6561)
     assert peak < arr.nbytes + 2 * 2**20
+
+
+def test_monomial_rows_fixed_cost_does_not_grow_with_q():
+    # Two rows on a 3-point grid over F_65521: the output is 12 bytes, while the
+    # exp table in uint16 codes is about 512 KiB; narrowing it on every call
+    # would allocate all of it each time.
+    F = make_field(65521)
+    T = F.tables()
+    grid = Grid(F, [(0, 1, 65520)])
+    tracemalloc.start()
+    try:
+        arr = poly.monomial_rows(grid, [(2,), (3,)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert arr.dtype == np.uint16 == T.narrow_exp.dtype
+    assert arr.tolist() == [[ref_pow(F, x, a) for x in (0, 1, 65520)] for a in (2, 3)]
+    assert peak < T.narrow_exp.nbytes / 32
