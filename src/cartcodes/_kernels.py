@@ -25,7 +25,12 @@ a panel at a time: a step updates only its own panel, each later panel
 replays the recorded steps before its first column is read, and the
 elimination returns as soon as every row is a pivot.  A wide matrix of full
 row rank therefore never touches the columns past the panel of its last
-pivot; square and tall matrices are one panel.
+pivot; square and tall matrices are one panel.  The pivot search jumps,
+up to SEARCH_COLS columns at a time, over the columns where every live row
+is zero, so a rank-deficient matrix does not search column by column once
+its live rows are zero.  A step with at least q hit rows scales the pivot
+row once per field element, and each hit row adds its multiplier's row of
+that table.
 
 All kernels do their field arithmetic on int64 element codes through the
 field's vectorized FieldTables operations, so they are field-agnostic.
@@ -46,6 +51,9 @@ SCAN_BLOCK_ENTRIES = 1 << 22
 
 # Least width of a column panel of the rank elimination (see _panels).
 PANEL_COLS = 256
+
+# Columns ahead that the rank elimination's pivot search tests at once for a live nonzero.
+SEARCH_COLS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -200,23 +208,52 @@ def _pivot_rows(M, tables) -> np.ndarray:
     recorded steps in order, which gives every entry the same updates in the
     same order as updating all columns at once.  The elimination returns as
     soon as no live row is left, so the panels past that are never read.
+
+    A column with no live nonzero sends the search ahead: the next
+    SEARCH_COLS columns are tested at once, and it jumps to the first with a
+    live nonzero.  The columns it jumps over are zero in every live row and
+    stay so, since a step adds a multiple of its pivot row, which was live
+    and so is zero there too.  Once the live rows are zero on the rest of a
+    panel, the search there costs one test per SEARCH_COLS columns, not one
+    per column, and a column that has a pivot costs no test at all.
+
+    A step with at least q hit rows scales the pivot row once per field
+    element (a q-row table) and adds to each hit row its multiplier's row;
+    for odd p that addition is one gather from a q x q addition table.  Both
+    tables are held to CHUNK_ENTRIES entries, so large fields never build
+    them.  A step with fewer hit rows scales the pivot row once per hit row.
+    The arithmetic is exact, so both give the same entries.
     """
     rows, cols = M.shape
-    n = tables.q - 1
-    log, exp, z = tables.log, tables.exp, tables.sentinel
-    shift = 0 if tables.p == 2 else n // 2  # log(-1)
+    q = tables.q
+    n = q - 1
+    log, exp = tables.log, tables.exp
+    odd = tables.p != 2
+    shift = n // 2 if odd else 0  # log(-1)
+    plus = None  # a + b = plus[q * b + a], for the table steps of odd p
+    if odd and q < rows and q * q <= CHUNK_ENTRIES:  # only q + 1 rows give q hit rows
+        plus = tables.add(np.arange(q), np.arange(q)[:, None]).ravel()
 
     def step(piv, c, hit, lo, hi):
         # hit rows -= (M[hit, c] / M[piv, c]) * pivot row, on columns [lo, hi);
-        # log(-row / row[c]) of the pivot row, zero entries keep the sentinel
+        # log(-row / row[c]) of the pivot row, in [0, N) or the sentinel where it is 0
         prow = M[piv, lo:hi]
-        lrow = (log[prow] - log[M[piv, c]] + shift) % n
-        lrow[prow == 0] = z
+        lrow = log[exp[log[prow] + (shift - int(log[M[piv, c]])) % n]]
+        table = hit.size >= q and q * max(q, lrow.size) <= CHUNK_ENTRIES
+        if table:  # row m: the codes of m * lrow, times q for odd p (an index into plus)
+            scaled = exp[log[:, None] + lrow]
+            if odd:
+                scaled *= q
         chunk = max(1, CHUNK_ENTRIES // lrow.size)
         for s in range(0, hit.size, chunk):  # bounded temporaries
             sel = hit[s : s + chunk]
-            scaled = exp[log[M[sel, c]][:, None] + lrow[None, :]]
-            M[sel, lo:hi] = tables.add(M[sel, lo:hi], scaled)
+            mult = M[sel, c]
+            if not table:
+                M[sel, lo:hi] = tables.add(M[sel, lo:hi], exp[log[mult][:, None] + lrow])
+            elif odd:
+                M[sel, lo:hi] = plus[scaled[mult] + M[sel, lo:hi]]
+            else:
+                M[sel, lo:hi] ^= scaled[mult]
 
     live = np.arange(rows)
     pivots, steps = [], []
@@ -224,9 +261,12 @@ def _pivot_rows(M, tables) -> np.ndarray:
         for piv, c, hit in steps:
             step(piv, c, hit, lo, hi)
         record = hi < cols  # only a later panel replays
-        for c in range(lo, hi):
+        c = lo
+        while c < hi:
             nz = M[live, c].nonzero()[0]
-            if nz.size == 0:
+            if nz.size == 0:  # jump past the columns ahead that are zero in every live row
+                ahead = M[live, c + 1 : min(c + 1 + SEARCH_COLS, hi)].any(axis=0).nonzero()[0]
+                c += 1 + (int(ahead[0]) if ahead.size else SEARCH_COLS)
                 continue
             k = nz[0]
             piv = live[k]
@@ -235,10 +275,10 @@ def _pivot_rows(M, tables) -> np.ndarray:
             live = np.concatenate((live[:k], live[k + 1 :]))
             if live.size == 0:
                 return np.sort(np.array(pivots, dtype=np.int64))
-            if hit.size == 0:
-                continue
-            if c + 1 < hi:
-                step(piv, c, hit, c + 1, hi)
-            if record:
-                steps.append((piv, c, hit))
+            if hit.size:
+                if c + 1 < hi:
+                    step(piv, c, hit, c + 1, hi)
+                if record:
+                    steps.append((piv, c, hit))
+            c += 1
     return np.sort(np.array(pivots, dtype=np.int64))

@@ -364,28 +364,31 @@ def extremal_codeword(code: CartesianCode):
     the output is reproducible).  Its total degree is exactly d and the
     weight of its evaluation vector is exactly the formula distance.
 
-    Each of the first k+1 coordinates contributes one univariate factor, so
-    the terms are the products of the factors' coefficients, and the word, in
-    grid.points() order, is the outer product of the factors' values on their
-    sets, repeated over the points of the remaining coordinates.
+    Each of the first k+1 coordinates contributes one univariate factor, a
+    coefficient array, so the terms are the nonzero entries of the outer
+    product of those arrays, and the word, in grid.points() order, is the
+    outer product of the factors' values on their sets, repeated over the
+    points of the remaining coordinates.
     """
     grid = code.grid
     k, ell = decompose_k_ell(grid.cards, code.d)
     F = grid.field
     T = F.tables()
-    terms = {(): 1}
+    terms = np.ones((), dtype=np.int64)  # terms[a_1, ..., a_i]: coefficient of t^a
     vec = np.ones(1, dtype=np.int64)
     for i, s in enumerate(grid.sets[: k + 1]):
         count = grid.cards[i] - 1 if i < k else ell
-        coeffs = _monic_root_product(F, s[:count])  # prod (t - c) = (-1)^count prod (c - t)
+        coeffs = _monic_root_product(T, s[:count])  # prod (t - c) = (-1)^count prod (c - t)
         if count % 2:
-            coeffs = [F.neg(c) for c in coeffs]
-        terms = {e + (a,): F.mul(c, b) for e, c in terms.items()
-                 for a, b in enumerate(coeffs) if b}
-        factor = MultiPoly(F, 1, {(a,): b for a, b in enumerate(coeffs)})
+            coeffs = T.neg[coeffs]
+        terms = T.mul(terms[..., None], coeffs)
+        (a,) = coeffs.nonzero()
+        factor = MultiPoly._from_terms(F, 1, dict(zip(zip(a.tolist()), coeffs[a].tolist())))
         vals = evaluate_on_grid(factor, Grid(F, [s]))
         vec = T.mul(vec[:, None], vals[None, :]).reshape(-1)
-    # the coordinates after k have the factor 1
-    pad = (0,) * (grid.n - k - 1)
-    poly = MultiPoly(F, grid.n, {e + pad: c for e, c in terms.items()})
+    # the coordinates after k have the factor 1: one axis each, of length 1
+    terms = terms.reshape(terms.shape + (1,) * (grid.n - k - 1))
+    nz = terms.nonzero()
+    exps = zip(*(a.tolist() for a in nz))
+    poly = MultiPoly._from_terms(F, grid.n, dict(zip(exps, terms[nz].tolist())))
     return poly, np.repeat(vec, math.prod(grid.cards[k + 1 :]))

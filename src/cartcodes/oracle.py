@@ -12,7 +12,8 @@ rank(C_d) for every d at once (_rank_profile).  Only rows observed to repeat
 a lower-degree row are left out: the powers of each t_i are evaluated on A_i
 until they repeat, never reduced by the footprint or any formula.
 verify_degrees uses the profile to check a whole chain C_0, C_1, ... with
-one elimination per grid.
+one elimination per grid, and sizes every degree's scan from one
+enumeration of the footprint monomials.
 """
 
 from __future__ import annotations
@@ -64,9 +65,17 @@ MAX_RANK_ENTRIES = 1 << 26
 _FULL_SCANS: weakref.WeakKeyDictionary[CartesianCode, int] = weakref.WeakKeyDictionary()
 
 
-def _scan_budget_error(code: CartesianCode, budget: OracleBudget) -> BudgetExceededError | None:
-    """The overrun of the q^K-word scan, if any; K counts the footprint monomials, no formula."""
-    words = code.field.q ** len(standard_monomials(code.cards, code.d))
+def _scan_budget_error(
+    code: CartesianCode, budget: OracleBudget, footprint: int | None = None
+) -> BudgetExceededError | None:
+    """The overrun of the q^K-word scan, if any.
+
+    K counts the footprint monomials, no formula: `footprint` when the caller
+    has counted them (verify_degrees), else by enumerating them here.
+    """
+    if footprint is None:
+        footprint = len(standard_monomials(code.cards, code.d))
+    words = code.field.q ** footprint
     if words > budget.max_words:
         return BudgetExceededError(required=words, limit=budget.max_words)
     return None
@@ -221,20 +230,24 @@ def verify_params(
     budget: OracleBudget = DEFAULT_BUDGET,
     *,
     rank_of=None,
+    footprint: int | None = None,
 ) -> VerifyReport:
     """Compare closed-form parameters against the brute-force oracles.
 
     Budget overruns mark a check as skipped, never passed; a failure's detail
     carries the witnessing values.  `rank_of(d)`, when given, answers the
     rank check in place of brute_rank_dimension (verify_degrees passes one
-    that reads a rank profile shared by every degree of the grid).
+    that reads a rank profile shared by every degree of the grid), and
+    `footprint`, the number of footprint monomials of degree <= d, sizes the
+    scan in place of enumerating them (verify_degrees counts them once for
+    the grid).
     """
     report = VerifyReport(q=code.field.q, cards=code.cards)
     cards, d = code.cards, code.d
     dim = dimension_formula(cards, d)
     delta = min_distance_formula(cards, d)
     length = code.length
-    overrun = _scan_budget_error(code, budget)  # one admission, one scan for both checks
+    overrun = _scan_budget_error(code, budget, footprint)  # one admission, one scan for both checks
 
     def run(name, formula_value, fn):
         t0 = time.perf_counter()
@@ -279,16 +292,23 @@ def verify_params(
 def verify_degrees(grid: Grid, degrees, budget: OracleBudget = DEFAULT_BUDGET) -> VerifyReport:
     """verify_params at each degree in turn, with one rank elimination for the grid.
 
-    Each degree's rank budget is decided once, up front.  The first rank
-    check that is not skipped builds the profile at the largest degree within
-    budget, so its elapsed carries the whole elimination and the later ones'
-    only a lookup; a degree over budget is skipped with the same
-    BudgetExceededError that verify_params gives it alone.  The report lists
-    the checks of every degree in order, with the normalized grid's cards.
+    The footprint monomials are enumerated once, at the largest degree: in
+    grevlex order those of degree <= d are a prefix, so each degree's scan
+    is sized by the length of its prefix.  Each degree's rank budget is
+    decided once, up front.  The first rank check that is not skipped builds
+    the profile at the largest degree within budget, so its elapsed carries
+    the whole elimination and the later ones' only a lookup; a degree over
+    budget is skipped with the same BudgetExceededError that verify_params
+    gives it alone.  The report lists the checks of every degree in order,
+    with the normalized grid's cards.
     """
     codes = [CartesianCode(grid, d) for d in degrees]
     norm = grid.normalized()[0]
     errors = {d: _rank_budget_error(norm, d, budget) for d in degrees}
+    footprint = [0] * (max(degrees, default=0) + 1)  # footprint[d]: monomials of degree <= d
+    for e in standard_monomials(norm.cards, len(footprint) - 1):
+        footprint[sum(e)] += 1
+    footprint = list(itertools.accumulate(footprint))
     ranks: list[int] = []
 
     def rank_of(d):
@@ -300,5 +320,7 @@ def verify_degrees(grid: Grid, degrees, budget: OracleBudget = DEFAULT_BUDGET) -
 
     report = VerifyReport(q=grid.field.q, cards=norm.cards)
     for code in codes:
-        report.checks.extend(verify_params(code, budget, rank_of=rank_of).checks)
+        report.checks.extend(
+            verify_params(code, budget, rank_of=rank_of, footprint=footprint[code.d]).checks
+        )
     return report

@@ -80,6 +80,17 @@ class MultiPoly:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
+    def _from_terms(cls, field: Field, n: int, terms: dict) -> "MultiPoly":
+        """A polynomial whose terms are already clean, taken as they are.
+
+        For callers whose codes come out of the field tables: the exponents
+        are tuples of n Python ints >= 0 and the codes Python ints in [1, q).
+        """
+        f = object.__new__(cls)
+        f.field, f.n, f.terms = field, n, terms
+        return f
+
+    @classmethod
     def zero(cls, field, n):
         return cls(field, n, {})
 
@@ -256,7 +267,7 @@ class MultiPoly:
 def vanishing_univariate(grid: Grid, i: int) -> MultiPoly:
     """prod_{c in A_i} (t_i - c), the monic polynomial cutting out A_i."""
     F = grid.field
-    coeffs = _monic_root_product(F, grid.sets[i])
+    coeffs = _monic_root_product(F.tables(), grid.sets[i]).tolist()
     terms = {}
     for a, c in enumerate(coeffs):
         if c:
@@ -264,23 +275,19 @@ def vanishing_univariate(grid: Grid, i: int) -> MultiPoly:
     return MultiPoly(F, grid.n, terms)
 
 
-def _monic_root_product(F: Field, roots) -> list[int]:
-    # little-endian coefficients of prod (t - c)
-    coeffs = [1]
-    for c in roots:
-        nxt = [0] * (len(coeffs) + 1)
-        mc = F.neg(c)
-        for j, a in enumerate(coeffs):
-            nxt[j + 1] = F.add(nxt[j + 1], a)
-            nxt[j] = F.add(nxt[j], F.mul(a, mc))
-        coeffs = nxt
-    return coeffs
+def _monic_root_product(T, roots) -> np.ndarray:
+    """Little-endian int64 coefficients of prod_{c in roots} (t - c)."""
+    buf = np.zeros(len(roots) + 2, dtype=np.int64)  # buf[0] stays 0, buf[1:] holds the coefficients
+    buf[1] = 1
+    for j, c in enumerate(roots):  # times (t - c): coefficient a - 1 minus c times coefficient a
+        buf[1 : j + 3] = T.sub(buf[: j + 2], T.mul(c, buf[1 : j + 3]))
+    return buf[1:]
 
 
 def _reduced_powers(F: Field, elems, max_exp: int) -> list[list[int]]:
     """Coefficients of t^a modulo prod_{c in elems}(t - c), for a = 0..max_exp."""
     d = len(elems)
-    full = _monic_root_product(F, elems)
+    full = _monic_root_product(F.tables(), elems).tolist()
     top_sub = [F.neg(c) for c in full[:d]]  # t^d = sum top_sub[j] t^j
     cur = [1] + [0] * (d - 1)
     rows = [cur]

@@ -3,6 +3,7 @@
 import json
 import tracemalloc
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -254,6 +255,26 @@ def test_verify_dall_matches_each_degree(capsys, monkeypatch, q, sets):
     assert dall["checks"] == per_degree
     rank = [c for c in dall["checks"] if c["name"] == "rank_dimension"]
     assert {c["status"] for c in rank} == {"pass", "skipped"}
+
+
+# tests/data/verify_dall.jsonl holds one line per grid, in this order: the
+# `verify --dall` report with each check's elapsed removed, as json.dumps
+# writes it.  CI diffs the installed console script against the same file.
+GOLDEN_VERIFY_GRIDS = [("4", "fullx3"), ("5", "{1,2,4},full,{0,1}"), ("8", "unitsx3"),
+                       ("9", "subgroup:4,full,full")]
+
+
+def test_verify_dall_reports_match_golden(capsys):
+    lines = []
+    for q, sets in GOLDEN_VERIFY_GRIDS:
+        rc, out, _ = run_cli(capsys, "verify", "--q", q, "--sets", sets, "--dall")
+        assert rc == 0
+        report = json.loads(out)
+        for c in report["checks"]:
+            del c["elapsed"]
+        lines.append(json.dumps(report) + "\n")
+    golden = Path(__file__).parent / "data" / "verify_dall.jsonl"
+    assert "".join(lines) == golden.read_text()
 
 
 def test_verify_above_former_table_limit(capsys):

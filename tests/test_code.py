@@ -1,5 +1,6 @@
 """Parameter formulas, normalization, generator matrices, extremal words."""
 
+import json
 import math
 import random
 import tracemalloc
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 
 from cartcodes import (
+    CartesianCode,
+    Grid,
     LengthMismatchError,
     OutOfRangeError,
     code_params,
@@ -16,6 +19,7 @@ from cartcodes import (
     dimension_formula,
     encode,
     extremal_codeword,
+    field_for_order,
     hilbert_data,
     hilbert_function,
     loose_zero_bound,
@@ -348,6 +352,22 @@ def test_extremal_matches_factor_product(p, e):
             ref_poly, ref_vec = ref_extremal_codeword(code)
             assert poly == ref_poly and poly.format() == ref_poly.format()
             assert vec.tolist() == ref_vec.tolist()
+
+
+@pytest.mark.parametrize("q,sets", [(8, "unitsx3"), (9, "subgroup:4,full,full")])
+def test_extremal_matches_reference_on_verify_grids(q, sets):
+    # every degree that has an extremal word; its terms are plain ints, so JSON takes them
+    F = field_for_order(q)
+    grid = Grid(F, cli.parse_set_expressions(F, sets))
+    for d in range(1, CartesianCode(grid, 0).regularity):
+        code = CartesianCode(grid, d)
+        poly, vec = extremal_codeword(code)
+        ref_poly, ref_vec = ref_extremal_codeword(code)
+        assert poly == ref_poly and poly.format() == ref_poly.format()
+        assert vec.tolist() == ref_vec.tolist()
+        for exps, c in poly.terms.items():
+            assert type(exps) is tuple and {type(a) for a in exps} == {int} and type(c) is int
+        json.dumps([[list(e), c] for e, c in poly.terms.items()])
 
 
 def test_extremal_out_of_range():

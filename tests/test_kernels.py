@@ -384,3 +384,111 @@ def test_rank_panel_schedule():
         assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
         assert bounds[-1][1] == cols
         assert len(bounds) <= 2 + math.log(cols / bounds[0][1], 4)
+
+
+# -- multiplier tables: a step with at least q hit rows adds rows of a q-row table --
+
+RANK_TABLE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 11)]
+
+
+def _combined_rows(F, rows, rank, cols, rng):
+    """Dense random rows x cols codes, each a random combination of `rank` random rows."""
+    T = F.tables()
+    basis = _random_rows(F, rank, cols, rng)
+    mix = _random_rows(F, rows, rank, rng)
+    M = np.zeros((rows, cols), dtype=np.int64)
+    for i in range(rank):
+        M = T.add(M, T.mul(mix[:, i : i + 1], basis[i]))
+    return M
+
+
+def _rank_table_cases(F, rng):
+    """(name, matrix, every step has >= q hit rows) for one field.
+
+    Sizes follow min(q, 9), so over F_2^11 the same shapes are far below q
+    rows and never reach the table.  Tall and low-rank matrices keep at least
+    q live rows nonzero in every pivot column; the wide low-rank ones span
+    several panels, so their replays take the table too.
+    """
+    s = min(F.q, 9)
+    rows = 6 * s + 8
+    return [
+        ("tall", _random_rows(F, rows, 8, rng), True),
+        ("wide low rank", _combined_rows(F, rows, 5, 6 * rows, rng), True),
+        ("wide low rank, zero first panel", np.hstack(
+            [np.zeros((rows, 2 * rows), dtype=np.int64), _combined_rows(F, rows, 4, 3 * rows, rng)]
+        ), True),
+        ("square", _random_rows(F, 3 * s + 3, 3 * s + 3, rng), False),
+        ("wide full rank", _full_rank_rows(F, 2 * s + 2, 9 * (2 * s + 2), rng), False),
+    ]
+
+
+@pytest.mark.parametrize("chunk", ["default", "q rows"])
+@pytest.mark.parametrize("panel", [1, 3])
+@pytest.mark.parametrize("p,e", RANK_TABLE_FIELDS)
+def test_rank_table_steps_match_right_looking_reference(monkeypatch, p, e, panel, chunk):
+    monkeypatch.setattr(_kernels, "PANEL_COLS", panel)
+    F = make_field(p, e)
+    T = F.tables()
+    updates = []  # row updates through tables.add: the steps that do not take the table
+    real_add = type(T).add
+
+    def counted_add(self, a, b):
+        if np.ndim(a) == 2:
+            updates.append(np.shape(a))
+        return real_add(self, a, b)
+
+    monkeypatch.setattr(type(T), "add", counted_add)
+    rng = random.Random(600 * p + 10 * e + panel)
+    for name, M, every_step_tabled in _rank_table_cases(F, rng):
+        rows, cols = M.shape
+        if chunk == "q rows":  # the table still fits, but the hit rows go q at a time
+            monkeypatch.setattr(_kernels, "CHUNK_ENTRIES", F.q * max(F.q, cols))
+        ref_M = M.copy()
+        ref = ref_pivot_rows(ref_M, T)
+        got_M = M.copy()
+        updates.clear()
+        got = _kernels._pivot_rows(got_M, T)
+        untabled = list(updates)
+        assert got.tolist() == ref.tolist(), name
+        counts = list(range(rows + 1))
+        assert _kernels.rank_mod(M.copy(), T, prefixes=counts) == np.searchsorted(ref, counts).tolist()
+        # the same entries as the reference up to the last pivot's panel, the input past it
+        end = cols
+        if ref.size == rows:
+            last = _last_pivot_column(M, T)
+            end = next(hi for lo, hi in _kernels._panels(rows, cols) if lo <= last < hi)
+        assert np.array_equal(got_M[:, :end], ref_M[:, :end]), name
+        assert np.array_equal(got_M[:, end:], M[:, end:]), name
+        if F.q > rows:  # F_2^11: no step has q hit rows, every update adds row by row
+            assert untabled, name
+        elif every_step_tabled:
+            assert not untabled, (name, untabled)
+
+
+class _ColumnReads(np.ndarray):
+    """An int64 matrix that records the column of every single-column read M[rows, c]."""
+
+    def __getitem__(self, key):
+        if isinstance(key, tuple) and len(key) == 2 and isinstance(key[1], (int, np.integer)):
+            self.reads.append(int(key[1]))
+        return np.asarray(self)[key]
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 2), (2, 11)])
+def test_rank_search_jumps_over_dead_columns(p, e):
+    # rank 3 of 8 rows over 900 columns: past the column of the third pivot the
+    # live rows are zero everywhere, and the search reads about one column per
+    # SEARCH_COLS there instead of every one
+    F = make_field(p, e)
+    T = F.tables()
+    rng = random.Random(700 * p + e)
+    M = _combined_rows(F, 8, 3, 900, rng)
+    ref = ref_pivot_rows(M.copy(), T)
+    assert ref.size == 3
+    last = next(j for j in range(900) if ref_pivot_rows(M[:, : j + 1].copy(), T).size == 3)
+    work = M.copy().view(_ColumnReads)
+    work.reads = []
+    assert _kernels._pivot_rows(work, T).tolist() == ref.tolist()
+    dead = [c for c in work.reads if c > last]
+    assert 0 < len(dead) <= 2 * 900 // _kernels.SEARCH_COLS, len(dead)

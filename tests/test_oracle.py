@@ -135,6 +135,51 @@ def test_verify_degrees_decides_each_rank_budget_once(monkeypatch):
     assert sorted(calls) == [0, 1, 2, 3, 4]
 
 
+def test_verify_degrees_counts_the_footprint_once(monkeypatch):
+    # one enumeration at the top degree; each degree's K_d is its grevlex prefix
+    F5 = make_field(5)
+    grid = Grid(F5, [(1, 2, 4), range(5), (0, 1)])
+    cards = grid.normalized()[0].cards
+    degrees = range(code_module.regularity(cards) + 2)  # past the regularity too
+    real_monomials = oracle.standard_monomials
+    real_verify = oracle.verify_params
+    calls, sizes = [], {}
+
+    def counted(cards, d):
+        calls.append(d)
+        return real_monomials(cards, d)
+
+    def spy(code, budget, **kwargs):
+        sizes[code.d] = kwargs["footprint"]
+        return real_verify(code, budget, **kwargs)
+
+    monkeypatch.setattr(oracle, "standard_monomials", counted)
+    monkeypatch.setattr(oracle, "verify_params", spy)
+    assert verify_degrees(grid, degrees).ok
+    assert calls == [degrees[-1]]
+    assert sizes == {d: len(real_monomials(cards, d)) for d in degrees}
+
+
+def _outcome(check):
+    return check.name, check.formula, check.oracle, check.status, check.detail
+
+
+def test_verify_degrees_skips_scans_as_verify_params_does():
+    # over the word budget, every degree reports what verify_params reports alone
+    F5 = make_field(5)
+    grid = Grid(F5, [(1, 2, 4), range(5), (0, 1)])
+    budget = OracleBudget(max_words=5**6)
+    degrees = range(code_module.regularity(grid.normalized()[0].cards) + 1)
+    report = verify_degrees(grid, degrees, budget)
+    skipped = [c for c in report.checks if c.status == "skipped"]
+    assert {c.name for c in skipped} == {"min_distance", "max_zeros"}
+    assert all(c.detail.startswith("enumeration needs ") for c in skipped)
+    for d in degrees:
+        alone = verify_params(CartesianCode(grid, d), budget).checks
+        got = [c for c in report.checks if c.d == d]
+        assert [_outcome(c) for c in got] == [_outcome(c) for c in alone], d
+
+
 def test_rank_profile_matches_each_degree():
     F9 = make_field(3, 2)
     code = normalize_spec(F9, [F9.subgroup_of_order(4).elements, range(5)], 0)
