@@ -12,7 +12,8 @@ mismatches are summed a coordinate at a time in the narrowest dtype that
 holds L, so each step streams L * q^j narrow codes, not int64 ones.  The
 block is held to 2^13 words and to SCAN_BLOCK_ENTRIES codes (j >= 1), and it
 grows in coordinate slices of CHUNK_ENTRIES codes, so the scan's memory is
-bounded on long words too.  scan_min_weight_naive re-encodes all q^K
+bounded on long words too.  G, the scaled rows and the odometer's high part
+are narrow codes as well.  scan_min_weight_naive re-encodes all q^K
 messages from scratch; the tests use it as the differential reference.
 
 Rank is one swap-free Gaussian elimination: in each column the pivot is the
@@ -32,8 +33,13 @@ its live rows are zero.  A step with at least q hit rows scales the pivot
 row once per field element, and each hit row adds its multiplier's row of
 that table.
 
-All kernels do their field arithmetic on int64 element codes through the
-field's vectorized FieldTables operations, so they are field-agnostic.
+All kernels do their field arithmetic through the field's vectorized
+FieldTables operations, so they are field-agnostic.  mul returns int64
+codes.  add is the XOR of the codes for p = 2 and their modular sum for an
+odd prime q = p, and both return the dtype of their inputs, so narrow codes
+stay narrow; for an odd extension field add goes through the Zech table and
+returns int64 codes.  The scan keeps its codes narrow; rank eliminates an
+int64 matrix.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from __future__ import annotations
 import numpy as np
 
 # Entries per vectorized table-arithmetic update (an elimination step of
-# rank_mod, a slice of the scan's block as it grows); bounds the int64
+# rank_mod, a slice of the scan's block as it grows); bounds the
 # temporaries on large inputs.
 CHUNK_ENTRIES = 1 << 15
 
@@ -72,25 +78,26 @@ def scan_min_weight(G, tables, *, target=None) -> int:
     # is 1, i.e. G[t] plus any combination of the rows below t.  Those
     # combinations are the block WT of the first j rows (grown in place for
     # t < j) plus, for t >= j, an odometer over the high digits below t.
-    G = np.ascontiguousarray(np.asarray(G, dtype=np.int64))
+    q = tables.q
+    # G, the block WT (coordinate-major, L x q^j), the scaled rows and the high
+    # part are codes in the narrowest code dtype; weights are summed a
+    # coordinate at a time in the narrowest dtype that holds L.
+    code = np.min_scalar_type(q - 1)
+    G = np.ascontiguousarray(G, dtype=code)
     target = -1 if target is None else int(target)
     K, L = G.shape
-    q = tables.q
     j = min(K, 1)  # the block's rows: q^j <= 2^13 words and q^j * L <= SCAN_BLOCK_ENTRIES codes
     while j < K and q ** (j + 1) <= 1 << 13 and q ** (j + 1) * L <= SCAN_BLOCK_ENTRIES:
         j += 1
-    # WT is coordinate-major (L x q^j) in the narrowest code dtype; weights are
-    # summed a coordinate at a time in the narrowest dtype that holds L.
-    code = np.min_scalar_type(q - 1)
     count = np.min_scalar_type(L)
-    neg = tables.neg  # in the code dtype
-    codes = np.arange(q, dtype=np.int64)
+    log, neg, nexp = tables.log, tables.neg, tables.narrow_exp
     best = L + 1
 
-    def scan(h):
-        # weight(WT[:, r] + h) = #{c : WT[c, r] != -h[c]}
+    def scan(nh):
+        # weight(WT[:, r] + h) = #{c : WT[c, r] != nh[c]}, for nh = -h
         nonlocal best
-        weights = np.add.reduce(WT != neg[h][:, None], axis=0, dtype=count)
+        # the mismatches read as 0/1 bytes, so a uint8 count sums them without a cast
+        weights = np.add.reduce((WT != nh[:, None]).view(np.uint8), axis=0, dtype=count)
         w = int(weights.min())
         if w == 0:  # zero words (from dependent rows) have no weight
             nz = weights[weights > 0]
@@ -100,30 +107,36 @@ def scan_min_weight(G, tables, *, target=None) -> int:
 
     WT = np.zeros((L, 1), dtype=code)
     for t in range(j):
-        if scan(G[t]):
+        if scan(neg[G[t]]):
             return best
         if t < K - 1:  # the block of all j rows is needed only when high rows follow
-            grown = np.empty((L, WT.shape[1], q), dtype=code)
+            # the words WT[:, r] + m * G[t] in any order, as the block is scanned whole:
+            # m-major, so each coordinate's sums run along the words of WT
+            grown = np.empty((L, q, WT.shape[1]), dtype=code)
             rows = max(1, CHUNK_ENTRIES // grown[0].size)  # coordinates per slice
-            for c in range(0, L, rows):  # bounded int64 temporaries
-                scaled = tables.mul(G[t, c : c + rows, None], codes)
-                grown[c : c + rows] = tables.add(WT[c : c + rows, :, None], scaled[:, None, :])
+            for c in range(0, L, rows):  # bounded temporaries
+                scaled = nexp[log[G[t, c : c + rows, None]] + log]  # G[t, c] * m for every code m
+                grown[c : c + rows] = tables.add(WT[c : c + rows, None, :], scaled[:, :, None])
             WT = grown.reshape(L, -1)
-    # Moving digit i from c to c + 1 (mod q) adds delta[c] * G[j + i] to the high part.
-    delta = tables.sub((codes + 1) % q, codes)
+    # The odometer carries the negated high part -h.  Moving digit i from c to
+    # c + 1 (mod q) adds delta[c] * G[j + i] to h, so -delta[c] * G[j + i] to -h.
+    codes = np.arange(q, dtype=np.int64)
+    lminus = log[neg[tables.sub((codes + 1) % q, codes)]].tolist()  # log(-delta[c])
+    lhigh = log[G[j:]]
     for t in range(j, K):
-        msg = np.zeros(t - j, dtype=np.int64)
-        whigh = G[t]
+        msg = [0] * (t - j)
+        nh = neg[G[t]]
         for n in range(q ** (t - j)):
             if n > 0:
                 i = 0
                 while msg[i] == q - 1:
-                    whigh = tables.add(whigh, tables.mul(delta[q - 1], G[j + i]))
+                    nh = tables.add(nh, nexp[lhigh[i] + lminus[q - 1]])
                     msg[i] = 0
                     i += 1
-                whigh = tables.add(whigh, tables.mul(delta[msg[i]], G[j + i]))
+                # narrowed again where the add returns int64 (Zech), so the scan compares narrow codes
+                nh = tables.add(nh, nexp[lhigh[i] + lminus[msg[i]]]).astype(code, copy=False)
                 msg[i] += 1
-            if scan(whigh):
+            if scan(nh):
                 return best
     return best
 

@@ -10,6 +10,8 @@ representation: the O(q) log/exp/Zech tables of FieldTables, built once per
 field on first use.  They are built from multiplication matrices, the
 F_p-linear maps x -> c*x on coefficient rows; the same matrices find the
 primitive element and the cyclic subgroups, so neither needs the tables.
+Addition reads the tables only over odd extension fields: in characteristic
+2 it is the XOR of the codes, and over an odd prime their sum mod p.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ ENV_MAX_FIELD = "CARTESIAN_MAX_FIELD"
 # Codes per step when multiplying a code array by a constant; bounds the
 # (block, e) digit temporaries.
 _BLOCK = 1 << 14
+
+# The unsigned integer dtype of each width, for reading nonnegative sums as unsigned.
+_UNSIGNED = {np.dtype(t).itemsize: np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64)}
 
 
 def max_field_size() -> int:
@@ -145,16 +150,21 @@ class FieldTables:
         a + b = exp[log[a] + zech[log[b] - log[a] + Z]]
 
     holds when a or b is 0 too: d in [N, Z] (b = 0) maps to 0 and d in
-    [-Z, -N] (a = 0) maps to d itself.  In characteristic 2 addition is the
-    XOR of codes and there is no zech table.  The operations broadcast like
-    numpy ufuncs and take scalars as well as arrays.  log, exp and zech hold
-    int64, so sums of logs and the codes that mul and add return are int64.
-    neg, inv and narrow_exp (a copy of exp for gathers that write narrow
-    codes) hold codes only, in the narrowest unsigned dtype that holds one
-    (uint8 up to q = 256).
+    [-Z, -N] (a = 0) maps to d itself.  Only odd extension fields add
+    through zech.  In characteristic 2 addition is the XOR of codes and there
+    is no zech table.  For an odd prime q = p the codes are the residues, and
+    a + b is the modular sum (a + b) - p * [a + b >= p], taken in modsum, the
+    least dtype that holds 2(p - 1).  The operations broadcast like numpy
+    ufuncs and take scalars as well as arrays.  log, exp and zech hold int64,
+    so sums of logs and the codes that mul and the zech add return are int64.
+    XOR and the modular sum return the dtype that numpy promotes their
+    inputs' dtypes to (a Python int counts as int64), so narrow codes in give
+    narrow codes out.  neg, inv and narrow_exp (a copy of exp for gathers
+    that write narrow codes) hold codes only, in the narrowest unsigned dtype
+    that holds one (uint8 up to q = 256).
     """
 
-    __slots__ = ("q", "p", "sentinel", "log", "exp", "narrow_exp", "zech", "neg", "inv")
+    __slots__ = ("q", "p", "sentinel", "log", "exp", "narrow_exp", "zech", "neg", "inv", "modsum")
 
     def __init__(self, field: "Field"):
         q, p = field.q, field.p
@@ -183,6 +193,7 @@ class FieldTables:
         self.log, self.exp, self.zech, self.inv = log, exp, zech, inv
         self.narrow_exp = exp.astype(code)
         self.neg = exp[log + (0 if p == 2 else n // 2)].astype(code)  # -1 = g^(N/2) for odd p
+        self.modsum = np.min_scalar_type(2 * n) if p != 2 and q == p else None
 
     def mul(self, a, b):
         log = self.log
@@ -191,6 +202,19 @@ class FieldTables:
     def add(self, a, b):
         if self.p == 2:
             return np.bitwise_xor(a, b)
+        if self.modsum is not None:  # an odd prime: the codes are the residues mod p
+            if type(a) is int and type(b) is int:  # two Python ints, as int64 codes
+                s = a + b
+                return np.int64(s - self.p if s >= self.p else s)
+            a, b = np.asarray(a), np.asarray(b)
+            code = np.promote_types(a.dtype, b.dtype)
+            wide = np.promote_types(code, self.modsum)
+            # codes are >= 0, so the sum read as unsigned is the same number, and
+            # sum - p wraps above the sum exactly when sum < p
+            s = np.add(a, b, dtype=wide).view(_UNSIGNED[wide.itemsize])
+            r = np.subtract(s, self.p, dtype=s.dtype)
+            r = np.minimum(s, r, out=r if r.ndim else None)
+            return r.view(wide).astype(code, copy=False)
         log = self.log
         la = log[a]
         k = log[b] - la

@@ -183,6 +183,55 @@ def test_tables_match_scalar_ops(p, e):
             assert mul[x, y] == F.mul(x, y) == ref_mul(F, x, y)
 
 
+# Odd primes add by modular sum in a dtype that holds 2(p - 1): uint8 codes are
+# summed in uint8 up to F_127 and in uint16 from F_131 on (F_251's sums overflow
+# uint8), F_257 has uint16 codes and F_65537 uint32 ones.
+MODSUM_PRIMES = [3, 5, 7, 127, 131, 251, 257]
+CAP_PRIME = max(n for n in range(2**20 - 99, 2**20) if is_prime(n))
+
+
+def _check_modular_sum(F, a, b):
+    """T.add and T.sub on the pairs (a[i], b[i]) against ref_add, for every input dtype.
+
+    int64 and code-dtype arrays come back in their own dtype, Python ints as
+    int64.
+    """
+    T = F.tables()
+    code = np.min_scalar_type(F.q - 1)
+    assert T.modsum is not None and T.modsum.itemsize >= code.itemsize
+    plus = np.array([ref_add(F, x, y) for x, y in zip(a, b)], dtype=np.int64)
+    minus = np.array([ref_add(F, x, ref_neg(F, y)) for x, y in zip(a, b)], dtype=np.int64)
+    for dtype in (np.dtype(np.int64), code):
+        x, y = np.array(a, dtype=dtype), np.array(b, dtype=dtype)
+        for got, want in ((T.add(x, y), plus), (T.sub(x, y), minus)):
+            assert got.dtype == dtype
+            assert np.array_equal(got, want)
+    for x, y, want_add, want_sub in zip(a, b, plus.tolist(), minus.tolist()):
+        got_add, got_sub = T.add(x, y), T.sub(x, y)
+        assert got_add.dtype == got_sub.dtype == np.int64
+        assert got_add == want_add and got_sub == want_sub
+
+
+@pytest.mark.parametrize("p", MODSUM_PRIMES)
+def test_prime_field_modular_sum_every_pair(p):
+    F = make_field(p)
+    a, b = np.divmod(np.arange(p * p), p)
+    _check_modular_sum(F, a.tolist(), b.tolist())
+
+
+@pytest.mark.parametrize("p", [65521, 65537, CAP_PRIME])
+def test_prime_field_modular_sum_sampled(p):
+    # a private instance, so the tables go away with the test
+    F = Field(p, 1, (0, 1))
+    rng = random.Random(p)
+    edges = [0, 1, p // 2, p - 2, p - 1]
+    pairs = [(x, y) for x in edges for y in edges]
+    pairs += [(rng.randrange(p), rng.randrange(p)) for _ in range(300)]
+    a, b = zip(*pairs)
+    _check_modular_sum(F, list(a), list(b))
+    assert F.tables().modsum == np.dtype(np.uint32)
+
+
 def _is_smallest_primitive(F, g):
     # reference: g has order q - 1 and no smaller code does
     primes = [r for r in range(2, F.q) if (F.q - 1) % r == 0 and is_prime(r)]

@@ -99,10 +99,16 @@ def test_scan_early_exit_matches_full(p, e):
     assert _kernels.scan_min_weight(G, T) == full
 
 
+# Primes whose uint8 codes are summed in uint8 (F_127) and in uint16 (F_131, F_251).
+NARROW_SUM_PRIMES = [(127, 1), (131, 1), (251, 1)]
+
+
 # With a small entry cap the block shrinks with the word length, down to one row,
-# and it grows a few coordinates (down to one) per slice.
+# and it grows a few coordinates (down to one) per slice.  Over the large primes
+# the naive reference bounds K: F_127 and F_131 reach K = 3, so their odometers
+# add uint8 codes too, in uint8 and in uint16 sums.
 @pytest.mark.parametrize("cap", [1, 40])
-@pytest.mark.parametrize("p,e", SCAN_PARTITION_FIELDS)
+@pytest.mark.parametrize("p,e", SCAN_PARTITION_FIELDS + NARROW_SUM_PRIMES)
 def test_scan_block_entry_cap(monkeypatch, p, e, cap):
     monkeypatch.setattr(_kernels, "SCAN_BLOCK_ENTRIES", cap)
     monkeypatch.setattr(_kernels, "CHUNK_ENTRIES", cap)
@@ -110,6 +116,8 @@ def test_scan_block_entry_cap(monkeypatch, p, e, cap):
     T = F.tables()
     rng = random.Random(13 * p + e + cap)
     for k in range(1, 5):
+        if F.q**k > 1 << 22:  # the naive scan re-encodes all q^k messages
+            break
         t = rng.randrange(k)
         cases = [
             _random_rows(F, k, rng.randint(1, 9), rng),
@@ -160,8 +168,9 @@ def test_scan_memory_bounded_while_block_grows():
 
 # The block holds uint8 codes up to q = 256 and uint16 codes from q = 257 on.  The
 # planted row 1 is mostly 1, and -1 is 256 in F_257: codes narrowed to uint8 would
-# read it as 0 and weigh the word row 1 below the true minimum (at least 6).
-@pytest.mark.parametrize("p,e", [(2, 8), (257, 1)])
+# read it as 0 and weigh the word row 1 below the true minimum (at least 6).  Over
+# F_127, F_131 and F_251 the block grows by modular sums of uint8 codes.
+@pytest.mark.parametrize("p,e", [(2, 8), (257, 1)] + NARROW_SUM_PRIMES)
 def test_scan_code_dtype_boundary(p, e):
     F = make_field(p, e)
     T = F.tables()
@@ -388,7 +397,7 @@ def test_rank_panel_schedule():
 
 # -- multiplier tables: a step with at least q hit rows adds rows of a q-row table --
 
-RANK_TABLE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 11)]
+RANK_TABLE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 11), (131, 1), (251, 1)]
 
 
 def _combined_rows(F, rows, rank, cols, rng):
@@ -405,10 +414,11 @@ def _combined_rows(F, rows, rank, cols, rng):
 def _rank_table_cases(F, rng):
     """(name, matrix, every step has >= q hit rows) for one field.
 
-    Sizes follow min(q, 9), so over F_2^11 the same shapes are far below q
-    rows and never reach the table.  Tall and low-rank matrices keep at least
-    q live rows nonzero in every pivot column; the wide low-rank ones span
-    several panels, so their replays take the table too.
+    Sizes follow min(q, 9), so over F_2^11, F_131 and F_251 the same shapes
+    are far below q rows and never reach the table: every step adds by
+    tables.add, for the primes by modular sum.  Tall and low-rank matrices
+    keep at least q live rows nonzero in every pivot column; the wide
+    low-rank ones span several panels, so their replays take the table too.
     """
     s = min(F.q, 9)
     rows = 6 * s + 8
@@ -460,7 +470,7 @@ def test_rank_table_steps_match_right_looking_reference(monkeypatch, p, e, panel
             end = next(hi for lo, hi in _kernels._panels(rows, cols) if lo <= last < hi)
         assert np.array_equal(got_M[:, :end], ref_M[:, :end]), name
         assert np.array_equal(got_M[:, end:], M[:, end:]), name
-        if F.q > rows:  # F_2^11: no step has q hit rows, every update adds row by row
+        if F.q > rows:  # F_2^11, F_131, F_251: no step has q hit rows, every update adds row by row
             assert untabled, name
         elif every_step_tabled:
             assert not untabled, (name, untabled)
