@@ -9,12 +9,15 @@ the number of coordinates c where WT[c, r] differs from -h[c].  The block WT
 of the first j rows' q^j words is coordinate-major (one row per coordinate)
 in the narrowest unsigned code dtype (uint8 up to q = 256), and the
 mismatches are summed a coordinate at a time in the narrowest dtype that
-holds L, so each step streams L * q^j narrow codes, not int64 ones.  The
-block is held to 2^13 words and to SCAN_BLOCK_ENTRIES codes (j >= 1), and it
-grows in coordinate slices of CHUNK_ENTRIES codes, so the scan's memory is
-bounded on long words too.  G, the scaled rows and the odometer's high part
-are narrow codes as well.  scan_min_weight_naive re-encodes all q^K
-messages from scratch; the tests use it as the differential reference.
+holds L, so each step streams L * q^j narrow codes, not int64 ones.  One
+bound sizes the block: j is the most rows whose q^j * L codes stay within
+SCAN_BLOCK_ENTRIES, and at least one.  So a short word takes many rows per
+step and a long word few, and a step streams about as many codes either
+way.  The block grows in coordinate slices of CHUNK_ENTRIES codes, so the
+scan's memory is bounded on long words too.  G, the scaled rows and the
+odometer's high part are narrow codes as well.  scan_min_weight_naive
+re-encodes all q^K messages from scratch; the tests use it as the
+differential reference.
 
 Rank is one swap-free Gaussian elimination: in each column the pivot is the
 live row of lowest index, and the other live rows are updated from the next
@@ -51,9 +54,9 @@ import numpy as np
 # temporaries on large inputs.
 CHUNK_ENTRIES = 1 << 15
 
-# Codes in the scan's block WT; bounds its memory (and that of the comparison
-# each step makes) on long words.
-SCAN_BLOCK_ENTRIES = 1 << 22
+# Codes in the scan's block WT, the one bound on its size; bounds its memory
+# (and that of the comparison each step makes) whatever the word length.
+SCAN_BLOCK_ENTRIES = 1 << 19
 
 # Least width of a column panel of the rank elimination (see _panels).
 PANEL_COLS = 256
@@ -86,8 +89,8 @@ def scan_min_weight(G, tables, *, target=None) -> int:
     G = np.ascontiguousarray(G, dtype=code)
     target = -1 if target is None else int(target)
     K, L = G.shape
-    j = min(K, 1)  # the block's rows: q^j <= 2^13 words and q^j * L <= SCAN_BLOCK_ENTRIES codes
-    while j < K and q ** (j + 1) <= 1 << 13 and q ** (j + 1) * L <= SCAN_BLOCK_ENTRIES:
+    j = min(K, 1)  # the block's rows: the most with q^j * L <= SCAN_BLOCK_ENTRIES codes, at least one
+    while j < K and q ** (j + 1) * L <= SCAN_BLOCK_ENTRIES:
         j += 1
     count = np.min_scalar_type(L)
     log, neg, nexp = tables.log, tables.neg, tables.narrow_exp

@@ -6,10 +6,11 @@ multiplicative identity, and for e = 1 arithmetic is just integers mod p.
 Integer codes keep matrices and CLI output bit-reproducible.
 
 All arithmetic on codes, scalar or vectorized, goes through one
-representation: the O(q) log/exp/Zech tables of FieldTables, built once per
-field on first use.  They are built from multiplication matrices, the
-F_p-linear maps x -> c*x on coefficient rows; the same matrices find the
-primitive element and the cyclic subgroups, so neither needs the tables.
+representation: the O(q) log/exp tables of FieldTables, plus a Zech table
+for odd extension fields only, built once per field on first use.  They are
+built from multiplication matrices, the F_p-linear maps x -> c*x on
+coefficient rows; the same matrices find the primitive element and the
+cyclic subgroups, so neither needs the tables.
 Addition reads the tables only over odd extension fields: in characteristic
 2 it is the XOR of the codes, and over an odd prime their sum mod p.
 """
@@ -151,12 +152,13 @@ class FieldTables:
 
     holds when a or b is 0 too: d in [N, Z] (b = 0) maps to 0 and d in
     [-Z, -N] (a = 0) maps to d itself.  Only odd extension fields add
-    through zech.  In characteristic 2 addition is the XOR of codes and there
-    is no zech table.  For an odd prime q = p the codes are the residues, and
-    a + b is the modular sum (a + b) - p * [a + b >= p], taken in modsum, the
-    least dtype that holds 2(p - 1).  The operations broadcast like numpy
-    ufuncs and take scalars as well as arrays.  log, exp and zech hold int64,
-    so sums of logs and the codes that mul and the zech add return are int64.
+    through zech, and only they build it; elsewhere zech is None.  In
+    characteristic 2 addition is the XOR of codes.  For an odd prime q = p
+    the codes are the residues, and a + b is the modular sum
+    (a + b) - p * [a + b >= p], taken in modsum, the least dtype that holds
+    2(p - 1).  The operations broadcast like numpy ufuncs and take scalars
+    as well as arrays.  log, exp and zech hold int64, so sums of logs and the
+    codes that mul and the zech add return are int64.
     XOR and the modular sum return the dtype that numpy promotes their
     inputs' dtypes to (a Python int counts as int64), so narrow codes in give
     narrow codes out.  neg, inv and narrow_exp (a copy of exp for gathers
@@ -177,8 +179,8 @@ class FieldTables:
         exp = np.zeros(2 * z + 1, dtype=np.int64)
         exp[:n] = powers
         exp[n:z] = powers[: n - 1]
-        zech = None  # characteristic 2 adds by XOR
-        if p != 2:
+        zech = None  # characteristic 2 adds by XOR, an odd prime by modular sum
+        if p != 2 and q != p:
             # adding 1 raises the constant coefficient, the lowest digit
             low = powers % p
             zech_units = log[powers - low + (low + 1) % p]

@@ -261,7 +261,7 @@ def test_verify_dall_matches_each_degree(capsys, monkeypatch, q, sets):
 # `verify --dall` report with each check's elapsed removed, as json.dumps
 # writes it.  CI diffs the installed console script against the same file.
 GOLDEN_VERIFY_GRIDS = [("4", "fullx3"), ("5", "{1,2,4},full,{0,1}"), ("8", "unitsx3"),
-                       ("9", "subgroup:4,full,full")]
+                       ("9", "subgroup:4,full,full"), ("4", "{0,1,2},full")]
 
 
 def test_verify_dall_reports_match_golden(capsys):

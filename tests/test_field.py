@@ -296,5 +296,22 @@ def test_tables_above_former_limit():
     assert not hasattr(field_module, "TABLE_LIMIT")
     F = make_field(4099)
     T = F.tables()
-    assert sum(getattr(T, name).nbytes for name in ("log", "exp", "zech", "neg", "inv")) <= 100 * F.q
+    tables = [getattr(T, name) for name in ("log", "exp", "narrow_exp", "zech", "neg", "inv")]
+    assert sum(t.nbytes for t in tables if t is not None) <= 100 * F.q
     assert T.mul(4098, 4098) == 1 and T.add(4098, 1) == 0
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (131, 1), (4099, 1), (2, 3), (3, 2), (5, 2)])
+def test_zech_table_only_for_odd_extension_fields(p, e):
+    # characteristic 2 adds by XOR and an odd prime by modular sum: neither reads zech
+    F = make_field(p, e)
+    T = F.tables()
+    assert (T.zech is not None) == (p != 2 and e > 1)
+    if T.zech is not None:
+        assert T.zech.size == 2 * T.sentinel + 1
+    if e == 1:
+        rng = np.random.default_rng(p)
+        a, b = rng.integers(0, p, size=(2, 500))
+        a[:3], b[3:6] = 0, p - 1
+        assert np.array_equal(T.add(a, b), (a + b) % p)
+        assert np.array_equal(T.sub(a, b), (a - b) % p)

@@ -41,18 +41,23 @@ def test_scan_paths_agree(p, e):
 SCAN_PARTITION_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 
 
-def _block_rows(q):
-    """Rows in the fast scan's low block: its q^j words stay within 2^13."""
-    return max(1, int(13 / math.log2(q)))
+def _block_rows(q, length):
+    """Rows j in the fast scan's low block over words of this length, as the scan sizes
+    it: the most with q^j * length <= SCAN_BLOCK_ENTRIES codes, and at least one."""
+    j = 1
+    while q ** (j + 1) * length <= _kernels.SCAN_BLOCK_ENTRIES:
+        j += 1
+    return j
 
 
-def _planted_rows(F, k, t, digits, rng):
+def _planted_rows(F, k, t, digits, rng, length=None):
     """Dense random rows, with row t set so that the message (digits, 1 at t) encodes a
     weight-1 word.
 
-    The rows are 2k + 4 long, so other words seldom weigh as little.
+    The rows are 2k + 4 long unless given, so other words seldom weigh as little.
     """
-    length = 2 * k + 4
+    if length is None:
+        length = 2 * k + 4
     G = _random_rows(F, k, length, rng)
     word = [0] * length
     word[rng.randrange(length)] = rng.randrange(1, F.q)
@@ -62,24 +67,31 @@ def _planted_rows(F, k, t, digits, rng):
     return G
 
 
-# K rows on both sides of the default block size j: the last nonzero digit of a
-# message lands in the low block (t < j) or in the odometer (t >= j), and the
-# odometer's digits run through their highest values.
+# The word length of the partition tests.  At the default entry bound it gives every
+# field a block of j <= 13 rows, so K <= j + 2 planted rows are at least 2K + 4 long
+# (asserted), as _planted_rows needs.
+PARTITION_LENGTH = 40
+
+
+# K rows on both sides of the default block size j at this word length: the last
+# nonzero digit of a message lands in the low block (t < j) or in the odometer
+# (t >= j), and the odometer's digits run through their highest values.
 @pytest.mark.parametrize("p,e", SCAN_PARTITION_FIELDS)
 def test_scan_partition_independence(p, e):
     F = make_field(p, e)
     T = F.tables()
     rng = random.Random(11 * p + e)
-    j = _block_rows(F.q)
+    j = _block_rows(F.q, PARTITION_LENGTH)
+    assert 2 * (j + 2) + 4 <= PARTITION_LENGTH
     for k in (j - 1, j, j + 1, j + 2):
-        if k < 1 or F.q**k > 1 << 18:
+        if k < 1 or F.q**k > 1 << 18:  # the naive scan re-encodes all q^k messages
             continue
         t = rng.randrange(k)
         cases = [
-            _random_rows(F, k, 7, rng),
+            _random_rows(F, k, PARTITION_LENGTH, rng),
             # the last row, every lower digit at its last value
-            _planted_rows(F, k, k - 1, [F.q - 1] * (k - 1), rng),
-            _planted_rows(F, k, t, [rng.randrange(F.q) for _ in range(t)], rng),
+            _planted_rows(F, k, k - 1, [F.q - 1] * (k - 1), rng, PARTITION_LENGTH),
+            _planted_rows(F, k, t, [rng.randrange(F.q) for _ in range(t)], rng, PARTITION_LENGTH),
         ]
         for G in cases:
             assert _kernels.scan_min_weight(G, T) == _kernels.scan_min_weight_naive(G, T)
@@ -90,9 +102,9 @@ def test_scan_early_exit_matches_full(p, e):
     F = make_field(p, e)
     T = F.tables()
     rng = random.Random(12 * p + e)
-    j = _block_rows(F.q)
+    j = _block_rows(F.q, PARTITION_LENGTH)
     # the minimum-weight word has its last nonzero digit at row j, in the odometer
-    G = _planted_rows(F, j + 1, j, [rng.randrange(F.q) for _ in range(j)], rng)
+    G = _planted_rows(F, j + 1, j, [rng.randrange(F.q) for _ in range(j)], rng, PARTITION_LENGTH)
     full = _kernels.scan_min_weight_naive(G, T)
     assert full == 1
     assert _kernels.scan_min_weight(G, T, target=full) == full
@@ -140,15 +152,51 @@ def _scan_peak(G, tables):
     return w, peak
 
 
+# A scan's tracemalloc peak, in units of SCAN_BLOCK_ENTRIES bytes: the block of uint8
+# codes, the comparison each step makes and, while the block grows, its last growth.
+SCAN_PEAK_BLOCKS = 4
+
+
 def test_scan_memory_bounded_on_long_words():
-    # The F2 grid {0,1}^13 at d = 1: 14 rows of 8192 codes.  The capped block is
-    # 2^9 words, 4 MiB of uint8 codes plus 4 MiB of comparison; a block of 2^13
-    # such words would be 64 MiB.
+    # The F2 grid {0,1}^13 at d = 1: 14 rows of 8192 codes.  The block is 2^6 words,
+    # 512 KiB of uint8 codes plus 512 KiB of comparison; a block of 2^13 such words
+    # would be 64 MiB.
     F = make_field(2)
     G = normalize_spec(F, [(0, 1)] * 13, 1).generator_matrix().array
     w, peak = _scan_peak(G, F.tables())
     assert w == 1 << 12
-    assert peak < 12 * 2**20
+    assert peak < SCAN_PEAK_BLOCKS * _kernels.SCAN_BLOCK_ENTRIES
+
+
+# One entry bound sizes the block whatever the word length: 2^18 words of length 2
+# and 2^13 of length 64, each filled by enough rows (2^6 of length 8192 above).
+@pytest.mark.parametrize("length,k", [(2, 20), (64, 15)])
+def test_scan_memory_bounded_by_block_entries(length, k):
+    F = make_field(2)
+    j = _block_rows(F.q, length)
+    assert j < k and F.q**j * length == _kernels.SCAN_BLOCK_ENTRIES
+    G = np.random.default_rng(length).integers(0, F.q, (k, length))
+    _, peak = _scan_peak(G, F.tables())
+    assert peak < SCAN_PEAK_BLOCKS * _kernels.SCAN_BLOCK_ENTRIES
+
+
+# Short words take more than 2^13 words per block (2^17 of length 4, 2^14 of
+# length 24): K rows fill the block or pass it by one or two odometer rows.
+@pytest.mark.parametrize("length,k", [(4, 17), (4, 19), (24, 14), (24, 15)])
+def test_scan_short_words_past_2_13_words(length, k):
+    F = make_field(2)
+    T = F.tables()
+    assert F.q ** min(k, _block_rows(F.q, length)) > 1 << 13
+    rng = random.Random(length + k)
+    cases = [
+        _random_rows(F, k, length, rng),
+        # the last row, every lower digit at its last value
+        _planted_rows(F, k, k - 1, [1] * (k - 1), rng, length),
+    ]
+    for G in cases:
+        full = _kernels.scan_min_weight_naive(G, T)
+        assert _kernels.scan_min_weight(G, T) == full
+        assert _kernels.scan_min_weight(G, T, target=full) == full
 
 
 def test_scan_memory_bounded_while_block_grows():
