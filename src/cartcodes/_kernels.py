@@ -70,11 +70,11 @@ SEARCH_COLS = 64
 # ---------------------------------------------------------------------------
 
 
-def scan_min_weight(G, tables, *, target=None) -> int:
+def scan_min_weight(G, tables) -> int:
     """Minimum positive Hamming weight over all q^K combinations of the rows of G.
 
-    The all-zero word is ignored.  `target` permits early exit once the
-    running minimum reaches it (confirm mode); None forces a complete pass.
+    The all-zero word is ignored.  Every projective message is encoded: the
+    scan has one exit, after the last word.
     """
     # Message m = (m_0, ..., m_{K-1}) encodes sum_i m_i G[i].  Every nonzero
     # message is a unique scalar multiple of one whose last nonzero digit m_t
@@ -87,7 +87,6 @@ def scan_min_weight(G, tables, *, target=None) -> int:
     # coordinate at a time in the narrowest dtype that holds L.
     code = np.min_scalar_type(q - 1)
     G = np.ascontiguousarray(G, dtype=code)
-    target = -1 if target is None else int(target)
     K, L = G.shape
     j = min(K, 1)  # the block's rows: the most with q^j * L <= SCAN_BLOCK_ENTRIES codes, at least one
     while j < K and q ** (j + 1) * L <= SCAN_BLOCK_ENTRIES:
@@ -106,12 +105,10 @@ def scan_min_weight(G, tables, *, target=None) -> int:
             nz = weights[weights > 0]
             w = int(nz.min()) if nz.size else best
         best = min(best, w)
-        return target >= 0 and best <= target
 
     WT = np.zeros((L, 1), dtype=code)
     for t in range(j):
-        if scan(neg[G[t]]):
-            return best
+        scan(neg[G[t]])
         if t < K - 1:  # the block of all j rows is needed only when high rows follow
             # the words WT[:, r] + m * G[t] in any order, as the block is scanned whole:
             # m-major, so each coordinate's sums run along the words of WT
@@ -139,16 +136,15 @@ def scan_min_weight(G, tables, *, target=None) -> int:
                 # narrowed again where the add returns int64 (Zech), so the scan compares narrow codes
                 nh = tables.add(nh, nexp[lhigh[i] + lminus[msg[i]]]).astype(code, copy=False)
                 msg[i] += 1
-            if scan(nh):
-                return best
+            scan(nh)
     return best
 
 
 def scan_min_weight_naive(G, tables) -> int:
     """scan_min_weight by re-encoding every one of the q^K messages from scratch.
 
-    The differential reference for the fast scan: no blocks, no projective
-    reduction and no early exit.
+    The differential reference for the fast scan: no blocks and no projective
+    reduction.
     """
     G = np.asarray(G, dtype=np.int64)
     K, L = G.shape

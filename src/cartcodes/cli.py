@@ -14,6 +14,7 @@ import re
 import sys
 
 from .code import CartesianCode, code_params, regularity
+from .constructions import degenerate_torus_for_degrees
 from .errors import CartesianCodeError
 from .field import field_for_order
 from .grid import Grid
@@ -149,8 +150,6 @@ def cmd_table(args) -> int:
     if (args.torus is None) == (args.sets is None):
         raise ValueError("give exactly one of --sets or --torus")
     if args.torus is not None:
-        from .constructions import degenerate_torus_for_degrees
-
         degrees = [int(x) for x in args.torus.split(",")]
         spec = degenerate_torus_for_degrees(degrees)
         field, grid = spec.field, spec.grid
@@ -192,8 +191,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    from .constructions import degenerate_torus_for_degrees
-
     degrees = [int(x) for x in args.degrees.split(",")]
     spec = degenerate_torus_for_degrees(degrees, allow_prime_powers=args.allow_prime_powers)
     cards = spec.grid.normalized()[0].cards

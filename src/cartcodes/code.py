@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -107,25 +107,33 @@ def dimension_formula(cards, d: int) -> int:
     return total
 
 
-def hilbert_numerator(cards) -> tuple[int, ...]:
-    """Coefficients of prod_i (1 + t + ... + t^{cards_i - 1})."""
+def _numerator_to(cards, top: int) -> list[int]:
+    """Coefficients of t^0, ..., t^top in prod_i (1 + t + ... + t^{cards_i - 1}).
+
+    Each factor is (1 - t^c) / (1 - t): running sums over windows of c
+    coefficients, so a factor costs one pass over at most top + 1 of them.
+    """
     coeffs = [1]
     for c in cards:
-        out = [0] * (len(coeffs) + c - 1)
-        for i, a in enumerate(coeffs):
-            if a:
-                for j in range(c):
-                    out[i + j] += a
-        coeffs = out
-    return tuple(coeffs)
+        run = list(accumulate(coeffs + [0] * (c - 1)))[: top + 1]
+        coeffs = [s - run[k - c] if k >= c else s for k, s in enumerate(run)]
+    return coeffs
+
+
+def hilbert_numerator(cards) -> tuple[int, ...]:
+    """Coefficients of prod_i (1 + t + ... + t^{cards_i - 1})."""
+    return tuple(_numerator_to(cards, regularity(cards)))
 
 
 def hilbert_function(cards, d: int) -> int:
-    """Partial sum of the numerator coefficients; equals dimension_formula."""
+    """Partial sum of the numerator coefficients; equals dimension_formula.
+
+    It counts the exponent vectors with a_i <= cards_i - 1 and |a| <= d, so
+    only the coefficients up to t^d are formed.
+    """
     if d < 0:
         raise OutOfRangeError("d must be >= 0")
-    num = hilbert_numerator(cards)
-    return sum(num[: d + 1])
+    return sum(_numerator_to(cards, d))
 
 
 def hilbert_data(cards) -> HilbertData:

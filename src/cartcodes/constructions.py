@@ -49,10 +49,8 @@ def degenerate_torus_for_degrees(degrees, *, allow_prime_powers: bool = False) -
             if len(fs) == 1:
                 [(p, e)] = fs.items()
                 fld = make_field(p, e)
-        if fld is not None:
-            v = tuple((q - 1) // x for x in degrees)
-            sets = [fld.subgroup_of_order(x).elements for x in degrees]
-            return DegenerateTorusSpec(field=fld, v=v, degrees=degrees, grid=Grid(fld, sets))
+        if fld is not None:  # the power images of v_i = (q-1)/x are the subgroups of order x
+            return torus_spec_from_type(fld, [(q - 1) // x for x in degrees])
         q += m
     raise SearchExceededError(f"no admissible q = 1 (mod {m}) within the cap {cap}")
 
@@ -75,32 +73,36 @@ def _check_prime_power(q: int):
         raise InvalidFieldError(f"{q} is not a prime power")
 
 
-def projective_torus_params(q: int, n: int, d: int) -> CodeParams:
-    """Parameters when every coordinate set is the unit group F_q* (q >= 3).
+def _uniform_params(c: int, n: int, d: int) -> CodeParams:
+    """Parameters for the cards c^n (c >= 2).
 
-    The distance uses the closed form in k = (d-1) // (q-2) directly, so it
-    can serve as an identity check against the generic formula.
+    The distance uses the closed form in k = (d-1) // (c-1) directly, so the
+    public functions below can serve as identity checks against the generic
+    formula.
     """
+    reg = n * (c - 1)
+    if d >= reg:
+        delta = 1
+    else:
+        k = (d - 1) // (c - 1)
+        ell = d - k * (c - 1)
+        delta = (c - ell) * c ** (n - k - 1)
+    return CodeParams(
+        length=c**n,
+        dimension=dimension_formula((c,) * n, d),
+        min_distance=delta,
+        regularity=reg,
+    )
+
+
+def projective_torus_params(q: int, n: int, d: int) -> CodeParams:
+    """Parameters when every coordinate set is the unit group F_q* (q >= 3)."""
     _check_prime_power(q)
     if q == 2:
         raise InvalidFieldError("the unit-group grid needs q >= 3")
     if n < 1 or d < 1:
         raise OutOfRangeError("need n >= 1 and d >= 1")
-    c = q - 1
-    cards = (c,) * n
-    reg = n * (q - 2)
-    if d >= reg:
-        delta = 1
-    else:
-        k = (d - 1) // (q - 2)
-        ell = d - k * (q - 2)
-        delta = c ** (n - k - 1) * (c - ell)
-    return CodeParams(
-        length=c**n,
-        dimension=dimension_formula(cards, d),
-        min_distance=delta,
-        regularity=reg,
-    )
+    return _uniform_params(q - 1, n, d)
 
 
 def reed_muller_params(q: int, n: int, d: int) -> CodeParams:
@@ -108,17 +110,4 @@ def reed_muller_params(q: int, n: int, d: int) -> CodeParams:
     _check_prime_power(q)
     if n < 1 or d < 1:
         raise OutOfRangeError("need n >= 1 and d >= 1")
-    cards = (q,) * n
-    reg = n * (q - 1)
-    if d >= reg:
-        delta = 1
-    else:
-        k = (d - 1) // (q - 1)
-        ell = d - k * (q - 1)
-        delta = (q - ell) * q ** (n - k - 1)
-    return CodeParams(
-        length=q**n,
-        dimension=dimension_formula(cards, d),
-        min_distance=delta,
-        regularity=reg,
-    )
+    return _uniform_params(q, n, d)

@@ -273,21 +273,17 @@ class Field:
             self._tables = FieldTables(self)
         return self._tables
 
-    def _t(self) -> FieldTables:
-        # scalar operations read the cached tables without a method call each
-        return self._tables or self.tables()
-
     def add(self, a: int, b: int) -> int:
-        return int(self._t().add(self.validate(a), self.validate(b)))
+        return int(self.tables().add(self.validate(a), self.validate(b)))
 
     def neg(self, a: int) -> int:
-        return int(self._t().neg[self.validate(a)])
+        return int(self.tables().neg[self.validate(a)])
 
     def sub(self, a: int, b: int) -> int:
-        return int(self._t().sub(self.validate(a), self.validate(b)))
+        return int(self.tables().sub(self.validate(a), self.validate(b)))
 
     def mul(self, a: int, b: int) -> int:
-        return int(self._t().mul(self.validate(a), self.validate(b)))
+        return int(self.tables().mul(self.validate(a), self.validate(b)))
 
     def pow(self, a: int, k: int) -> int:
         """a^k; negative k inverts first, and 0^0 = 1."""
@@ -296,14 +292,14 @@ class Field:
             return self.pow(self.inv(a), -k)
         if a == 0:
             return int(k == 0)
-        T = self._t()
+        T = self.tables()
         return int(T.exp[int(T.log[a]) * k % (self.q - 1)])
 
     def inv(self, a: int) -> int:
         a = self.validate(a)
         if a == 0:
             raise ZeroDivisionError(f"inverse of 0 in {self!r}")
-        return int(self._t().inv[a])
+        return int(self.tables().inv[a])
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -369,7 +365,7 @@ class Field:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative order")
         n = self.q - 1
-        return n // math.gcd(int(self._t().log[a]), n)
+        return n // math.gcd(int(self.tables().log[a]), n)
 
     def primitive_element(self) -> int:
         """Smallest code whose multiplicative order is q - 1."""

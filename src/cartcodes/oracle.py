@@ -1,9 +1,13 @@
 """Brute-force ground truth for code parameters on desk-scale instances.
 
 Every oracle enumerates exhaustively and is independent of the closed-form
-parameter formulas.  Each enumeration is admitted once, by arithmetic on
-sizes, before any matrix is evaluated; an overrun raises (or is reported as
-skipped by verify_params) and never counts as a pass.
+parameter formulas: no formula value enters an enumeration, and every scan
+runs to its end.  Each enumeration is admitted once, by arithmetic on sizes,
+before any matrix is evaluated; an overrun raises (or is reported as skipped
+by verify_params) and never counts as a pass.  The scan's size q^K takes K
+from hilbert_function, which counts the exponent vectors with a_i <= c_i - 1
+and |a| <= d, the rows of the generator matrix; it decides only whether the
+scan runs, and the scan reads the real matrix.
 
 The rank oracle is a prefix-rank profile: the monomials of degree <= d are
 the first rows of the grevlex-ordered all-monomials matrix of any higher
@@ -12,8 +16,7 @@ rank(C_d) for every d at once (_rank_profile).  Only rows observed to repeat
 a lower-degree row are left out: the powers of each t_i are evaluated on A_i
 until they repeat, never reduced by the footprint or any formula.
 verify_degrees uses the profile to check a whole chain C_0, C_1, ... with
-one elimination per grid, and sizes every degree's scan from one
-enumeration of the footprint monomials.
+one elimination per grid.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from .code import (
     CartesianCode,
     dimension_formula,
     extremal_codeword,
+    hilbert_function,
     min_distance_formula,
-    standard_monomials,
     zero_bound,
 )
 from .errors import BudgetExceededError
@@ -65,48 +68,36 @@ MAX_RANK_ENTRIES = 1 << 26
 _FULL_SCANS: weakref.WeakKeyDictionary[CartesianCode, int] = weakref.WeakKeyDictionary()
 
 
-def _scan_budget_error(
-    code: CartesianCode, budget: OracleBudget, footprint: int | None = None
-) -> BudgetExceededError | None:
-    """The overrun of the q^K-word scan, if any.
+def _scan_budget_error(code: CartesianCode, budget: OracleBudget) -> BudgetExceededError | None:
+    """The overrun of the q^K-word scan, if any, by arithmetic alone.
 
-    K counts the footprint monomials, no formula: `footprint` when the caller
-    has counted them (verify_degrees), else by enumerating them here.
+    K is the number of footprint monomials, the exponent vectors with
+    a_i <= c_i - 1 and |a| <= d: the coefficient sum up to t^d of
+    prod_i (1 + t + ... + t^(c_i - 1)), which hilbert_function takes.  A
+    wrong K could only run or skip the scan, never change its answer.
     """
-    if footprint is None:
-        footprint = len(standard_monomials(code.cards, code.d))
-    words = code.field.q ** footprint
+    words = code.field.q ** hilbert_function(code.cards, code.d)
     if words > budget.max_words:
         return BudgetExceededError(required=words, limit=budget.max_words)
     return None
 
 
-def _min_weight(code: CartesianCode, overrun: BudgetExceededError | None, *, target=None) -> int:
+def _min_weight(code: CartesianCode, overrun: BudgetExceededError | None) -> int:
     if overrun:
         raise overrun
-    if target is None and code in _FULL_SCANS:
-        return _FULL_SCANS[code]
-    w = _kernels.scan_min_weight(code.generator_matrix().array, code.field.tables(), target=target)
-    if target is None:
-        _FULL_SCANS[code] = w
-    return w
+    if code not in _FULL_SCANS:
+        G = code.generator_matrix().array
+        _FULL_SCANS[code] = _kernels.scan_min_weight(G, code.field.tables())
+    return _FULL_SCANS[code]
 
 
-def brute_min_distance(
-    code: CartesianCode,
-    budget: OracleBudget = DEFAULT_BUDGET,
-    *,
-    confirm_only: bool = False,
-) -> int:
-    """Minimum weight over every nonzero message, by exhaustive encoding.
+def brute_min_distance(code: CartesianCode, budget: OracleBudget = DEFAULT_BUDGET) -> int:
+    """Minimum weight over every nonzero message, by a complete exhaustive scan.
 
-    confirm_only allows the scan to stop once the running minimum reaches the
-    closed-form distance; the default is a complete, formula-independent pass.
-    Complete scans are cached per code object, after the budget check, so an
+    Scans are cached per code object, after the budget check, so an
     over-budget call raises even when an answer is cached.
     """
-    target = min_distance_formula(code.cards, code.d) if confirm_only else None
-    return _min_weight(code, _scan_budget_error(code, budget), target=target)
+    return _min_weight(code, _scan_budget_error(code, budget))
 
 
 def max_zero_search(code: CartesianCode, budget: OracleBudget = DEFAULT_BUDGET) -> int:
@@ -226,28 +217,22 @@ class VerifyReport:
 
 
 def verify_params(
-    code: CartesianCode,
-    budget: OracleBudget = DEFAULT_BUDGET,
-    *,
-    rank_of=None,
-    footprint: int | None = None,
+    code: CartesianCode, budget: OracleBudget = DEFAULT_BUDGET, *, rank_of=None
 ) -> VerifyReport:
     """Compare closed-form parameters against the brute-force oracles.
 
     Budget overruns mark a check as skipped, never passed; a failure's detail
     carries the witnessing values.  `rank_of(d)`, when given, answers the
     rank check in place of brute_rank_dimension (verify_degrees passes one
-    that reads a rank profile shared by every degree of the grid), and
-    `footprint`, the number of footprint monomials of degree <= d, sizes the
-    scan in place of enumerating them (verify_degrees counts them once for
-    the grid).
+    that reads a rank profile shared by every degree of the grid).  The scan
+    is admitted once and answers both min_distance and max_zeros.
     """
     report = VerifyReport(q=code.field.q, cards=code.cards)
     cards, d = code.cards, code.d
     dim = dimension_formula(cards, d)
     delta = min_distance_formula(cards, d)
     length = code.length
-    overrun = _scan_budget_error(code, budget, footprint)  # one admission, one scan for both checks
+    overrun = _scan_budget_error(code, budget)  # one admission, one scan for both checks
 
     def run(name, formula_value, fn):
         t0 = time.perf_counter()
@@ -292,23 +277,18 @@ def verify_params(
 def verify_degrees(grid: Grid, degrees, budget: OracleBudget = DEFAULT_BUDGET) -> VerifyReport:
     """verify_params at each degree in turn, with one rank elimination for the grid.
 
-    The footprint monomials are enumerated once, at the largest degree: in
-    grevlex order those of degree <= d are a prefix, so each degree's scan
-    is sized by the length of its prefix.  Each degree's rank budget is
-    decided once, up front.  The first rank check that is not skipped builds
-    the profile at the largest degree within budget, so its elapsed carries
-    the whole elimination and the later ones' only a lookup; a degree over
-    budget is skipped with the same BudgetExceededError that verify_params
-    gives it alone.  The report lists the checks of every degree in order,
-    with the normalized grid's cards.
+    Each degree's scan is admitted by verify_params, by arithmetic on its
+    size, so no monomial is listed and no matrix is built for a scan over
+    budget.  Each degree's rank budget is decided once, up front.  The first
+    rank check that is not skipped builds the profile at the largest degree
+    within budget, so its elapsed carries the whole elimination and the later
+    ones' only a lookup; a degree over budget is skipped with the same
+    BudgetExceededError that verify_params gives it alone.  The report lists
+    the checks of every degree in order, with the normalized grid's cards.
     """
     codes = [CartesianCode(grid, d) for d in degrees]
     norm = grid.normalized()[0]
     errors = {d: _rank_budget_error(norm, d, budget) for d in degrees}
-    footprint = [0] * (max(degrees, default=0) + 1)  # footprint[d]: monomials of degree <= d
-    for e in standard_monomials(norm.cards, len(footprint) - 1):
-        footprint[sum(e)] += 1
-    footprint = list(itertools.accumulate(footprint))
     ranks: list[int] = []
 
     def rank_of(d):
@@ -320,7 +300,5 @@ def verify_degrees(grid: Grid, degrees, budget: OracleBudget = DEFAULT_BUDGET) -
 
     report = VerifyReport(q=grid.field.q, cards=norm.cards)
     for code in codes:
-        report.checks.extend(
-            verify_params(code, budget, rank_of=rank_of, footprint=footprint[code.d]).checks
-        )
+        report.checks.extend(verify_params(code, budget, rank_of=rank_of).checks)
     return report

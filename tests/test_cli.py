@@ -258,16 +258,26 @@ def test_verify_dall_matches_each_degree(capsys, monkeypatch, q, sets):
 
 
 # tests/data/verify_dall.jsonl holds one line per grid, in this order: the
-# `verify --dall` report with each check's elapsed removed, as json.dumps
-# writes it.  CI diffs the installed console script against the same file.
-GOLDEN_VERIFY_GRIDS = [("4", "fullx3"), ("5", "{1,2,4},full,{0,1}"), ("8", "unitsx3"),
-                       ("9", "subgroup:4,full,full"), ("4", "{0,1,2},full")]
+# `verify` report with each check's elapsed removed, as json.dumps writes it.
+# CI diffs the installed console script against the same file.  The last two
+# pin the scan admission: at d = 1 the F5 grid's scan needs 5^4 = 625 words,
+# exactly its budget, and the F9 grid's one degree is skipped with a 34-digit
+# word count.
+GOLDEN_VERIFY_GRIDS = [
+    ("4", "fullx3", "--dall"),
+    ("5", "{1,2,4},full,{0,1}", "--dall"),
+    ("8", "unitsx3", "--dall"),
+    ("9", "subgroup:4,full,full", "--dall"),
+    ("4", "{0,1,2},full", "--dall"),
+    ("5", "{1,2,4},full,{0,1}", "--dall", "--max-words", "625"),
+    ("9", "fullx4", "--d", "3", "--max-words", "1000"),
+]
 
 
 def test_verify_dall_reports_match_golden(capsys):
     lines = []
-    for q, sets in GOLDEN_VERIFY_GRIDS:
-        rc, out, _ = run_cli(capsys, "verify", "--q", q, "--sets", sets, "--dall")
+    for q, sets, *args in GOLDEN_VERIFY_GRIDS:
+        rc, out, _ = run_cli(capsys, "verify", "--q", q, "--sets", sets, *args)
         assert rc == 0
         report = json.loads(out)
         for c in report["checks"]:

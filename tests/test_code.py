@@ -4,7 +4,7 @@ import json
 import math
 import random
 import tracemalloc
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -139,6 +139,15 @@ def test_formula_agreement_small():
         for cards in combinations_with_replacement(range(2, 6), n):
             for d in range(0, regularity(cards) + 3):
                 assert hilbert_function(cards, d) == dimension_formula(cards, d)
+
+
+def test_hilbert_function_counts_footprint_monomials():
+    # the oracle sizes its scans by hilbert_function: it must count the
+    # generator matrix's rows, including cards of 1 and cards in any order
+    for n in range(1, 4):
+        for cards in product(range(1, 10), repeat=n):
+            for d in range(0, regularity(cards) + 3):
+                assert hilbert_function(cards, d) == len(standard_monomials(cards, d)), (cards, d)
 
 
 # -- minimum distance and zero bounds ------------------------------------------------

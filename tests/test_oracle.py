@@ -37,11 +37,6 @@ def test_brute_min_distance_examples():
     assert brute_min_distance(_full_code(2, 1, (2, 2), 2)) == 1  # d >= regularity
 
 
-def test_brute_min_distance_confirm_mode():
-    code = _full_code(3, 1, (3, 3), 2)
-    assert brute_min_distance(code, confirm_only=True) == brute_min_distance(code)
-
-
 def test_brute_rank_examples():
     assert brute_rank_dimension(_full_code(2, 1, (2, 2), 1)) == 3
     assert brute_rank_dimension(_full_code(3, 1, (3, 3), 4)) == 9
@@ -102,11 +97,11 @@ def test_scan_budget_checked_before_matrix(monkeypatch):
 
     def counted(cards, d):
         counts.append(d)
-        return code_module.standard_monomials(cards, d)
+        return code_module.hilbert_function(cards, d)
 
     monkeypatch.setattr(code_module, "monomial_rows", refuse)
     monkeypatch.setattr(CartesianCode, "generator_matrix", refuse)
-    monkeypatch.setattr(oracle, "standard_monomials", counted)
+    monkeypatch.setattr(oracle, "hilbert_function", counted)
     budget = OracleBudget(max_words=100)
     with pytest.raises(BudgetExceededError) as exc:
         brute_min_distance(code, budget)
@@ -135,29 +130,27 @@ def test_verify_degrees_decides_each_rank_budget_once(monkeypatch):
     assert sorted(calls) == [0, 1, 2, 3, 4]
 
 
-def test_verify_degrees_counts_the_footprint_once(monkeypatch):
-    # one enumeration at the top degree; each degree's K_d is its grevlex prefix
+def test_verify_degrees_admits_scans_without_enumerating(monkeypatch):
+    # every scan over budget: no footprint monomial is listed and no generator
+    # matrix is built, and each skip still names q^K for the K rows it would scan
     F5 = make_field(5)
     grid = Grid(F5, [(1, 2, 4), range(5), (0, 1)])
     cards = grid.normalized()[0].cards
     degrees = range(code_module.regularity(cards) + 2)  # past the regularity too
-    real_monomials = oracle.standard_monomials
-    real_verify = oracle.verify_params
-    calls, sizes = [], {}
+    rows = {d: len(code_module.standard_monomials(cards, d)) for d in degrees}
 
-    def counted(cards, d):
-        calls.append(d)
-        return real_monomials(cards, d)
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated for a scan over budget")
 
-    def spy(code, budget, **kwargs):
-        sizes[code.d] = kwargs["footprint"]
-        return real_verify(code, budget, **kwargs)
-
-    monkeypatch.setattr(oracle, "standard_monomials", counted)
-    monkeypatch.setattr(oracle, "verify_params", spy)
-    assert verify_degrees(grid, degrees).ok
-    assert calls == [degrees[-1]]
-    assert sizes == {d: len(real_monomials(cards, d)) for d in degrees}
+    monkeypatch.setattr(code_module, "standard_monomials", refuse)
+    monkeypatch.setattr(CartesianCode, "generator_matrix", refuse)
+    report = verify_degrees(grid, degrees, OracleBudget(max_words=1))
+    assert report.ok
+    scans = [c for c in report.checks if c.name in ("min_distance", "max_zeros")]
+    assert len(scans) == 2 * len(degrees)
+    for c in scans:
+        assert c.status == "skipped"
+        assert c.detail == f"enumeration needs {5 ** rows[c.d]} items, budget allows 1"
 
 
 def _outcome(check):
