@@ -41,8 +41,10 @@ FieldTables operations, so they are field-agnostic.  mul returns int64
 codes.  add is the XOR of the codes for p = 2 and their modular sum for an
 odd prime q = p, and both return the dtype of their inputs, so narrow codes
 stay narrow; for an odd extension field add goes through the Zech table and
-returns int64 codes.  The scan keeps its codes narrow; rank eliminates an
-int64 matrix.
+returns int64 codes.  Both kernels keep their codes narrow: the scan
+converts G once, and rank eliminates the narrow codes of monomial_rows in
+place, writing every code it makes through narrow_exp; only the index
+arithmetic (sums of logarithms, table offsets) is int64.
 """
 
 from __future__ import annotations
@@ -176,12 +178,19 @@ def rank_mod(M, tables, *, prefixes=None):
 
     With `prefixes`, a sequence of row counts R, the result is instead the
     list of rank(M[:R]) for each R, read off the same single elimination.
-    M is consumed: an int64 array is eliminated in place, so a caller that
-    needs the matrix afterwards passes a copy.  The elimination stops once
-    every row is a pivot, so the columns past the panel of the last pivot
-    may be left unreduced.
+    M is consumed: a writable integer array whose dtype holds every code
+    and fits in int64 (the narrow codes of monomial_rows, int64) is
+    eliminated in place, in its own dtype, so a caller that needs the matrix
+    afterwards passes a copy.  Anything else (a read-only array such as a
+    cached generator matrix, a list, a float or too narrow dtype) is copied
+    once into the narrowest code dtype, np.min_scalar_type(q - 1), and is
+    never written.  The elimination stops once every row is a pivot, so the
+    columns past the panel of the last pivot may be left unreduced.
     """
-    M = np.asarray(M, dtype=np.int64)
+    code = np.min_scalar_type(tables.q - 1)
+    M = np.asarray(M)
+    if not (M.flags.writeable and np.can_cast(code, M.dtype) and np.can_cast(M.dtype, np.int64)):
+        M = M.astype(code)
     pivots = _pivot_rows(M, tables) if M.size else np.zeros(0, dtype=np.int64)
     if prefixes is None:
         return int(pivots.size)
@@ -235,16 +244,23 @@ def _pivot_rows(M, tables) -> np.ndarray:
     tables are held to CHUNK_ENTRIES entries, so large fields never build
     them.  A step with fewer hit rows scales the pivot row once per hit row.
     The arithmetic is exact, so both give the same entries.
+
+    M is updated in its own dtype.  The codes written come from narrow_exp
+    (and for odd p from the addition table, held in M's dtype), so narrow
+    codes are never widened; the logarithms and the indices into the
+    addition table are int64, as numpy would convert a narrow index array
+    to intp on every gather.
     """
     rows, cols = M.shape
     q = tables.q
     n = q - 1
-    log, exp = tables.log, tables.exp
+    log, exp, nexp = tables.log, tables.exp, tables.narrow_exp
     odd = tables.p != 2
     shift = n // 2 if odd else 0  # log(-1)
     plus = None  # a + b = plus[q * b + a], for the table steps of odd p
     if odd and q < rows and q * q <= CHUNK_ENTRIES:  # only q + 1 rows give q hit rows
-        plus = tables.add(np.arange(q), np.arange(q)[:, None]).ravel()
+        codes = np.arange(q, dtype=M.dtype)
+        plus = tables.add(codes, codes[:, None]).astype(M.dtype, copy=False).ravel()
 
     def step(piv, c, hit, lo, hi):
         # hit rows -= (M[hit, c] / M[piv, c]) * pivot row, on columns [lo, hi);
@@ -252,16 +268,14 @@ def _pivot_rows(M, tables) -> np.ndarray:
         prow = M[piv, lo:hi]
         lrow = log[exp[log[prow] + (shift - int(log[M[piv, c]])) % n]]
         table = hit.size >= q and q * max(q, lrow.size) <= CHUNK_ENTRIES
-        if table:  # row m: the codes of m * lrow, times q for odd p (an index into plus)
-            scaled = exp[log[:, None] + lrow]
-            if odd:
-                scaled *= q
+        if table:  # row m: the codes of m * lrow; for odd p, times q (an int64 index into plus)
+            scaled = exp[log[:, None] + lrow] * q if odd else nexp[log[:, None] + lrow]
         chunk = max(1, CHUNK_ENTRIES // lrow.size)
         for s in range(0, hit.size, chunk):  # bounded temporaries
             sel = hit[s : s + chunk]
             mult = M[sel, c]
             if not table:
-                M[sel, lo:hi] = tables.add(M[sel, lo:hi], exp[log[mult][:, None] + lrow])
+                M[sel, lo:hi] = tables.add(M[sel, lo:hi], nexp[log[mult][:, None] + lrow])
             elif odd:
                 M[sel, lo:hi] = plus[scaled[mult] + M[sel, lo:hi]]
             else:

@@ -13,12 +13,20 @@ import json
 import re
 import sys
 
-from .code import CartesianCode, code_params, regularity
+from .code import (
+    CartesianCode,
+    code_params,
+    legend_text,
+    matrix_text,
+    regularity,
+    standard_monomials,
+)
 from .constructions import degenerate_torus_for_degrees
 from .errors import CartesianCodeError
 from .field import field_for_order
 from .grid import Grid
 from .oracle import OracleBudget, verify_degrees
+from .poly import monomial_blocks
 
 _REPEAT = re.compile(r"^(.+?)\s*[x×*]\s*(\d+)$")
 
@@ -166,12 +174,13 @@ def cmd_table(args) -> int:
 def cmd_matrix(args) -> int:
     field = _resolve_field(args.q, args.ext)
     code = CartesianCode(Grid(field, parse_set_expressions(field, args.sets)), args.d)
-    mat = code.generator_matrix()
-    with open(args.out, "w") as fh:
-        fh.writelines(mat.format_slices())  # one slice in memory at a time
+    monos = standard_monomials(code.cards, code.d)
+    shape = (len(monos), code.length)
+    with open(args.out, "wb") as fh:  # each block of rows is evaluated, formatted and written in turn
+        fh.writelines(matrix_text(field.q, shape, monomial_blocks(code.grid, monos)))
     with open(args.out + ".legend", "w") as fh:
-        fh.write(mat.legend())
-    print(json.dumps({"out": args.out, "rows": mat.rows, "cols": mat.cols}))
+        fh.write(legend_text(monos))
+    print(json.dumps({"out": args.out, "rows": shape[0], "cols": shape[1]}))
     return 0
 
 

@@ -7,9 +7,10 @@ after normalization) and use exact integer arithmetic throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -23,6 +24,7 @@ from .poly import (
     evaluate_on_grid,
     grevlex_exponents,
     monomial_rows,
+    row_blocks,
 )
 
 
@@ -91,20 +93,42 @@ def decompose_k_ell(cards, d: int) -> KLDecomposition:
 def dimension_formula(cards, d: int) -> int:
     """Code dimension by inclusion-exclusion over coordinate subsets.
 
-    Binomials with a negative lower index contribute zero; intermediates are
-    exact Python integers.
+    The sum over subsets S of the cards of (-1)^|S| C(n + d - sum S, n),
+    where binomials with a negative lower index contribute zero, taken over
+    the signed subset counts of _signed_card_sums.  Intermediates are exact
+    Python integers.
     """
     if d < 0:
         raise OutOfRangeError("d must be >= 0")
     n = len(cards)
     total = 0
-    for size in range(n + 1):
-        sign = -1 if size % 2 else 1
-        for subset in combinations(cards, size):
-            rem = d - sum(subset)
-            if rem >= 0:
-                total += sign * math.comb(n + rem, rem)
+    for s, w in _signed_card_sums(tuple(cards)):
+        if s > d:
+            break
+        total += w * math.comb(n + d - s, n)
     return total
+
+
+@functools.lru_cache(maxsize=256)
+def _signed_card_sums(cards: tuple) -> tuple[tuple[int, int], ...]:
+    """(s, sum of (-1)^|S| over the subsets S of the cards with card sum s), ascending s.
+
+    A subset enters the inclusion-exclusion only through its size and its
+    card sum, so the subsets are counted by how many cards of each value
+    they take: j of the k cards equal to c are C(k, j) subsets, of sign
+    (-1)^j, that add j * c to the sum.  So n equal cards give n + 1 sums,
+    not 2^n subsets, and there are never more than sum(cards) + 1.  The
+    counts do not depend on d, so they are kept per card tuple: a table of
+    every degree of one grid forms them once.
+    """
+    signed = {0: 1}
+    for c in set(cards):
+        k = cards.count(c)
+        steps = [(j * c, (-1) ** j * math.comb(k, j)) for j in range(1, k + 1)]
+        for s, w in list(signed.items()):
+            for t, f in steps:
+                signed[s + t] = signed.get(s + t, 0) + w * f
+    return tuple(sorted(signed.items()))
 
 
 def _numerator_to(cards, top: int) -> list[int]:
@@ -196,8 +220,44 @@ def standard_monomials(cards, d: int) -> list[tuple[int, ...]]:
     return list(grevlex_exponents([c - 1 for c in cards], d))
 
 
-# Matrix entries per slice of GeneratorMatrix.format_slices; bounds its byte blocks.
-FORMAT_CHUNK_ENTRIES = 1 << 17
+def matrix_text(q: int, shape, blocks):
+    """Yield the matrix file body as ASCII bytes: the header, then the rows a block at a time.
+
+    The header is 'q n_rows n_cols'; each row is a line of decimal codes
+    separated by spaces.  `blocks` are consecutive blocks of whole rows,
+    such as those of poly.monomial_blocks, and each is formatted as it
+    comes, so a writer that consumes the output as it is made holds one
+    block of rows and its text, never the whole matrix or the whole text.
+    The table, built once for the codes 0..q - 1, has one item of width + 1
+    bytes per code: its decimal digits right-aligned after NUL padding, then
+    a space.  A block is one take from it; the last space of each row
+    becomes a newline, and the padding is deleted when some code has more
+    than one digit.
+    """
+    rows, cols = shape
+    yield f"{q} {rows} {cols}\n".encode("ascii")
+    codes = np.arange(q)
+    width = len(str(q - 1))
+    table = np.zeros((q, width + 1), dtype=np.uint8)
+    for k in range(width - 1):
+        place = 10 ** (width - 1 - k)
+        table[:, k] = np.where(codes >= place, 48 + codes // place % 10, 0)
+    table[:, width - 1] = 48 + codes % 10  # every code has a units digit
+    table[:, width] = 32
+    table = table.view(np.dtype((np.void, width + 1))).ravel()
+    items = table[:0]  # a block's items, kept for the next block when it fits
+    for block in blocks:
+        if items.size < block.size:
+            items = np.empty(block.size, dtype=table.dtype)
+        text = np.take(table, block, mode="clip", out=items[: block.size].reshape(block.shape))
+        text = text.view(np.uint8)  # one row of bytes per row
+        text[:, -1] = 10
+        yield text.tobytes().translate(None, b"\0") if width > 1 else text.tobytes()
+
+
+def legend_text(monomials) -> str:
+    """Sidecar body of a matrix file: the exponent vectors in row order."""
+    return "\n".join(" ".join(str(a) for a in m) for m in monomials) + "\n"
 
 
 class GeneratorMatrix:
@@ -223,53 +283,19 @@ class GeneratorMatrix:
     def cols(self) -> int:
         return self.array.shape[1]
 
-    def format_slices(self):
-        """Yield the matrix file body in order, as text slices of whole rows.
-
-        The first slice is the header 'q n_rows n_cols'.  Each later one holds
-        the rows of about FORMAT_CHUNK_ENTRIES entries (at least one row),
-        written as bytes: a table of the codes 0..max holds one uint8 row per
-        decimal position (ASCII digits, right-aligned, 0 as padding).  The
-        slice gathers its digit planes into a (rows, cols, width + 1) byte
-        block whose last slot is a space, or a newline at the end of a row.
-        The padding bytes are dropped when some code has more than one digit,
-        and the slice is decoded as ASCII.  So a writer that consumes the
-        slices as they come never holds more than one of them.
-        """
-        yield f"{self.grid.field.q} {self.rows} {self.cols}\n"
-        if not self.array.size:
-            return
-        codes = np.arange(int(self.array.max()) + 1)
-        width = len(str(codes[-1]))
-        digits = np.zeros((width, codes.size), dtype=np.uint8)
-        for k in range(width - 1):
-            place = 10 ** (width - 1 - k)
-            digits[k] = np.where(codes >= place, 48 + codes // place % 10, 0)
-        digits[-1] = 48 + codes % 10  # every code has a units digit
-        chunk = max(1, FORMAT_CHUNK_ENTRIES // self.cols)
-        for s in range(0, self.rows, chunk):
-            block = self.array[s : s + chunk]
-            buf = np.empty(block.shape + (width + 1,), dtype=np.uint8)
-            for k in range(width):
-                buf[..., k] = np.take(digits[k], block)
-            buf[..., width] = 32
-            buf[:, -1, width] = 10
-            out = buf.reshape(-1)
-            if width > 1:
-                out = out[out != 0]
-            yield out.tobytes().decode("ascii")
-
     def format(self) -> str:
         """Matrix file body: 'q n_rows n_cols' then one row of codes per line.
 
-        The join of format_slices(); a file writer should write the slices
-        instead, so the whole body never exists as one string.
+        The join of matrix_text over the array's row_blocks; a file writer
+        should write the blocks of matrix_text instead, so the whole body
+        never exists at once.
         """
-        return "".join(self.format_slices())
+        blocks = (self.array[b] for b in row_blocks(self.rows, self.cols))
+        return b"".join(matrix_text(self.grid.field.q, self.array.shape, blocks)).decode("ascii")
 
     def legend(self) -> str:
         """Sidecar body: exponent vectors in row order."""
-        return "\n".join(" ".join(str(a) for a in m) for m in self.monomials) + "\n"
+        return legend_text(self.monomials)
 
     def __repr__(self):
         return f"GeneratorMatrix({self.rows}x{self.cols}, q={self.grid.field.q}, d={self.d})"

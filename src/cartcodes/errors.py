@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class CartesianCodeError(Exception):
     """Base class for all library errors."""
@@ -56,10 +58,16 @@ class SearchExceededError(CartesianCodeError, RuntimeError):
 class BudgetExceededError(CartesianCodeError, RuntimeError):
     """An enumeration would exceed the oracle budget.
 
-    Carries the required count so callers can shrink the instance.
+    Carries the required count so callers can shrink the instance.  The
+    message gives the count in decimal, or, past the number of digits that
+    Python converts (a q^K word count can have thousands), as a power of ten.
     """
 
     def __init__(self, required: int, limit: int):
         self.required = required
         self.limit = limit
-        super().__init__(f"enumeration needs {required} items, budget allows {limit}")
+        try:
+            size = str(required)
+        except ValueError:  # over sys.get_int_max_str_digits()
+            size = f"about 10^{math.log10(required):.1f}"
+        super().__init__(f"enumeration needs {size} items, budget allows {limit}")

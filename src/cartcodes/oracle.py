@@ -59,7 +59,9 @@ DEFAULT_BUDGET = OracleBudget()
 
 # Entry-count ceiling for the rank oracle's monomial matrix.  max_words caps
 # enumerated codewords and max_points the grid, but the all-monomials matrix
-# can outgrow memory on its own (row count is binomial in n and d).
+# can outgrow memory on its own (row count is binomial in n and d).  It is
+# eliminated in its narrow codes, so at the cap it takes 64 MiB for q <= 256
+# and 128 MiB for q <= 65536 (an int64 copy would add 512 MiB).
 MAX_RANK_ENTRIES = 1 << 26
 
 
@@ -132,12 +134,14 @@ def _rank_profile(grid: Grid, dmax: int) -> list[int]:
     that matrix gives every ranks[d] as a prefix rank (see _kernels.rank_mod).
     Rows observed to repeat a lower-degree row are left out (_exponent_caps):
     each stays in the span of its prefix, so no prefix rank changes.  The
-    caller has admitted dmax.  monomial_rows gives narrow codes; they are
-    converted once to int64, the array that rank_mod eliminates in place.
+    caller has admitted dmax.  rank_mod eliminates the narrow codes of
+    monomial_rows in place, so the matrix is the one array of its size: one
+    byte per entry up to q = 256 and two up to 65536, 64 and 128 MiB at
+    MAX_RANK_ENTRIES, next to temporaries of a few CHUNK_ENTRIES.
     """
     T = grid.field.tables()
     exps = list(grevlex_exponents(_exponent_caps(grid.sets, T, dmax), dmax))
-    arr = monomial_rows(grid, exps).astype(np.int64)
+    arr = monomial_rows(grid, exps)
     counts = [0] * (dmax + 1)
     for e in exps:
         counts[sum(e)] += 1

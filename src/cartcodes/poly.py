@@ -47,8 +47,10 @@ def grevlex_exponents(caps, d: int):
 
 _FACTOR = re.compile(r"^t(\d+)(?:\^(\d+))?$")
 
-# Matrix entries computed at once by monomial_rows; bounds its temporaries.
-MONOMIAL_CHUNK_ENTRIES = 1 << 16
+# Matrix entries in one block of rows (row_blocks), at least one row: the
+# unit in which monomial_blocks evaluates and the matrix writer formats, so
+# it bounds the temporaries of both.
+BLOCK_ENTRIES = 1 << 16
 
 
 class MultiPoly:
@@ -343,53 +345,95 @@ def reduce_mod_grid(f: MultiPoly, grid: Grid) -> MultiPoly:
     return MultiPoly(F, f.n, out)
 
 
+def row_blocks(rows: int, cols: int) -> list[slice]:
+    """Consecutive slices of whole rows of a rows x cols matrix, of about
+    BLOCK_ENTRIES entries each and at least one row."""
+    step = max(1, BLOCK_ENTRIES // cols)
+    return [slice(s, s + step) for s in range(0, rows, step)]
+
+
+def _log_blocks(grid: Grid, exps_list):
+    """Yield (rows, logs) for each slice of row_blocks(len(exps_list), grid.size) in order.
+
+    logs holds the logarithms of the values of those rows' monomials, one
+    int64 axis per coordinate (grid.points() order once flattened), each in
+    [0, Z) or at most 2Z where the value is 0 (see monomial_rows).  The
+    powers x^a of each coordinate set are formed for the block's own
+    exponents, so no table larger than a block is made even when one set is
+    the whole grid, and the block-size sums go to one array that every
+    block reuses; a block's logs are valid until the next block is made.
+    """
+    rows = len(exps_list)
+    if rows == 0:
+        return
+    T = grid.field.tables()
+    n = grid.n
+    exps = np.array(exps_list, dtype=np.int64).reshape(rows, n)
+    logs = [T.log[np.array(s, dtype=np.int64)] for s in grid.sets]
+
+    def log_powers(i, a):  # [k, j] = log(A_i[j]^a[k]): in [0, N), or Z where that power is 0
+        lp = np.multiply.outer(a, logs[i])
+        lp %= grid.field.q - 1
+        if grid.sets[i][0] == 0:  # the sets are sorted, so 0 comes first
+            lp[a > 0, 0] = T.sentinel
+        return lp
+
+    blocks = row_blocks(rows, grid.size)
+    work = np.empty(min(rows, blocks[0].stop) * grid.size if n > 1 else 0, dtype=np.int64)
+    for b in blocks:
+        e = exps[b]
+        total = log_powers(0, e[:, 0])
+        for i in range(1, n):
+            if i > 1:
+                total = T.log[T.exp[total]]
+            step = log_powers(i, e[:, i]).reshape((len(e),) + (1,) * i + (-1,))
+            shape = total.shape + step.shape[-1:]
+            out = work[: len(e) * grid.size].reshape(shape) if i == n - 1 else None
+            total = np.add(total[..., None], step, out=out)
+        yield b, total
+
+
 def monomial_rows(grid: Grid, exps_list) -> np.ndarray:
     """Evaluations of monomials on the whole grid, one row per monomial.
 
     Columns follow grid.points() order.  Works in the log domain: each power
-    x^a on a coordinate set is its logarithm a log x mod N (N = q - 1), or the
-    sentinel Z of FieldTables where x = 0 and a > 0 (0^0 = 1 has log 0).  The
-    coordinates are folded in by broadcast addition.  Before each coordinate
-    from the third on, the partial sums, which span only the coordinates
-    folded so far, are brought back to [0, N) or Z through log[exp[.]].  So
-    every sum of two terms is below Z unless a factor is 0, and at most 2Z if
-    one is; the last, full-size step is one add and one gather from exp, whose
-    zero tail maps every index from Z to 2Z to 0.
+    x^a on a coordinate set is its logarithm a log x mod N (N = q - 1), or
+    the sentinel Z of FieldTables where x = 0 and a > 0 (0^0 = 1 has log
+    0).  The coordinates are folded in by broadcast addition.  Before each
+    coordinate from the third on, the partial sums, which span only the
+    coordinates folded so far, are brought back to [0, N) or Z through
+    log[exp[.]].  So every sum of two terms is below Z unless a factor is 0,
+    and at most 2Z if one is; the last, block-size step is one add and one
+    gather from exp, whose zero tail maps every index from Z to 2Z to 0.
+    The rows are evaluated a block of about BLOCK_ENTRIES codes at a time
+    (_log_blocks), so the int64 sums never exceed a block.
 
     The rows are in the narrowest unsigned dtype that holds a code,
     np.min_scalar_type(q - 1): uint8 up to q = 256, uint16 up to 65536 and
     uint32 above.  The final gather reads the tables' copy of exp in that
     dtype (FieldTables.narrow_exp, built once per field) and writes straight
-    into the output rows, so no full-size int64 array is made and a call's
-    fixed cost does not grow with q.  Callers that do table arithmetic in
-    place convert a copy.
+    into the output rows, so a call's fixed cost does not grow with q.  The
+    rank oracle eliminates the rows in place (_kernels.rank_mod); callers
+    that do other table arithmetic in place convert a copy.
     """
-    rows = len(exps_list)
-    N = grid.field.q - 1
-    arr = np.empty((rows, grid.size), dtype=np.min_scalar_type(N))
-    if rows == 0:
-        return arr
-    T = grid.field.tables()
-    n = grid.n
-    exps = np.array(exps_list, dtype=np.int64).reshape(rows, n)
-    logpow = []  # logpow[i][a, j] = log(A_i[j]^a): in [0, N), or Z where that power is 0
-    for i, s in enumerate(grid.sets):
-        x = np.array(s, dtype=np.int64)
-        lp = np.arange(exps[:, i].max() + 1)[:, None] * T.log[x] % N
-        lp[1:, x == 0] = T.sentinel
-        logpow.append(lp)
-    chunk = max(1, MONOMIAL_CHUNK_ENTRIES // grid.size)
-    for s in range(0, rows, chunk):
-        e = exps[s : s + chunk]
-        total = logpow[0][e[:, 0]]
-        for i in range(1, n):
-            if i > 1:
-                total = T.log[T.exp[total]]
-            step = logpow[i][e[:, i]].reshape((len(e),) + (1,) * i + (-1,))
-            total = total[..., None] + step
+    arr = np.empty((len(exps_list), grid.size), dtype=np.min_scalar_type(grid.field.q - 1))
+    for b, logs in _log_blocks(grid, exps_list):
         # every index is in [0, 2Z], exp's range; "clip" lets take write into out unbuffered
-        np.take(T.narrow_exp, total, out=arr[s : s + chunk].reshape(total.shape), mode="clip")
+        np.take(grid.field.tables().narrow_exp, logs, out=arr[b].reshape(logs.shape), mode="clip")
     return arr
+
+
+def monomial_blocks(grid: Grid, exps_list):
+    """Yield the rows of monomial_rows(grid, exps_list) a block at a time.
+
+    The blocks are the row_blocks slices in order, each a new array of
+    narrow codes, so a consumer that formats or writes them as they come
+    (the matrix command) never holds the whole matrix, nor int64 sums
+    larger than a block.
+    """
+    nexp = grid.field.tables().narrow_exp
+    for _, logs in _log_blocks(grid, exps_list):
+        yield np.take(nexp, logs, mode="clip").reshape(logs.shape[0], -1)
 
 
 def evaluate_on_grid(f: MultiPoly, grid: Grid) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import combinations
 
 import numpy as np
 
@@ -62,6 +63,23 @@ def ref_grid_sets(field, sets):
             raise DuplicateElementError(f"coordinate set {i + 1} repeats an element")
         clean.append(vals)
     return tuple(clean)
+
+
+def ref_dimension_formula(cards, d):
+    """code.dimension_formula by listing all 2^n subsets of the cards.
+
+    The reference for the grouped sum: (-1)^|S| C(n + d - sum S, n) over
+    every subset S whose card sum is at most d.
+    """
+    n = len(cards)
+    total = 0
+    for size in range(n + 1):
+        sign = -1 if size % 2 else 1
+        for subset in combinations(cards, size):
+            rem = d - sum(subset)
+            if rem >= 0:
+                total += sign * math.comb(n + rem, rem)
+    return total
 
 
 def random_grid(field, cards, rng: random.Random) -> Grid:

@@ -150,7 +150,9 @@ def test_matrix_square_when_saturated(tmp_path, capsys):
 
 def test_matrix_command_memory_is_bounded(tmp_path, capsys):
     # F9^4 d = 8: 495 x 6561 codes, 3.1 MiB as bytes and 24.8 MiB as int64; the file
-    # is 6.5 MB, so holding the whole text once, or the matrix as int64, exceeds the bound
+    # is 6.5 MB.  The command evaluates, formats and writes a block of about
+    # 2^16 codes at a time (about 1.4 MiB at peak), so holding the whole matrix
+    # even as bytes, next to a block's text (4.9 MiB), exceeds the bound
     argv = ["matrix", "--q", "9", "--sets", "fullx4", "--d", "8", "--out", str(tmp_path / "m.mat")]
     tracemalloc.start()
     try:
@@ -161,7 +163,7 @@ def test_matrix_command_memory_is_bounded(tmp_path, capsys):
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["rows"] == 495
     assert (tmp_path / "m.mat").stat().st_size == 6495401
-    assert peak < 8 * 2**20
+    assert peak < 3 * 2**20
 
 
 def test_matrix_bad_path_exit_2(tmp_path, capsys):
@@ -188,6 +190,25 @@ def test_verify_budget_skips(capsys):
     by_name = {c["name"]: c for c in report["checks"]}
     assert by_name["rank_dimension"]["status"] == "pass"
     assert by_name["min_distance"]["status"] == "skipped"
+
+
+def test_verify_budget_message_past_int_str_limit(capsys):
+    # F2^16 at d = 7: K = 26333, so the scan needs 2^26333 words, a number of
+    # 7928 digits, past the 4300 that Python converts to a string by default
+    rc, out, _ = run_cli(capsys, "verify", "--q", "2", "--sets", "fullx16", "--d", "7")
+    assert rc == 0
+    report = json.loads(out)
+    _validate(report, "verify_report")
+    by_name = {c["name"]: c for c in report["checks"]}
+    for name in ("rank_dimension", "min_distance", "max_zeros"):
+        assert by_name[name]["status"] == "skipped", name
+    assert by_name["extremal_weight"]["status"] == "pass"
+    assert report["ok"]
+    try:
+        words = str(2**26333)
+    except ValueError:  # the default digit limit
+        words = "about 10^7927.0"
+    assert by_name["min_distance"]["detail"] == f"enumeration needs {words} items, budget allows {1 << 24}"
 
 
 def test_verify_corrupted_fixture_exit_1(capsys, monkeypatch):

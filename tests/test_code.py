@@ -30,8 +30,15 @@ from cartcodes import (
     standard_monomials,
     zero_bound,
 )
-from cartcodes import _kernels, cli, code as code_module
-from helpers import random_grid, ref_extremal_codeword, ref_matrix_format, ref_pow, span_words
+from cartcodes import _kernels, cli, poly
+from helpers import (
+    random_grid,
+    ref_dimension_formula,
+    ref_extremal_codeword,
+    ref_matrix_format,
+    ref_pow,
+    span_words,
+)
 
 
 # -- normalization ----------------------------------------------------------
@@ -118,6 +125,25 @@ def test_dimension_examples():
     assert dimension_formula((9, 9, 9, 9), 2) == 15
     assert dimension_formula((2, 5, 9), 2) == 9
     assert dimension_formula((3, 4, 7), 0) == 1
+
+
+def test_dimension_formula_matches_subset_reference():
+    # the grouped sum counts the subsets of each card value by binomials; the
+    # reference lists them, so repeated cards (and cards of 1) are the cases
+    for n in range(1, 5):
+        for cards in product(range(1, 6), repeat=n):
+            for d in range(0, regularity(cards) + 3):
+                assert dimension_formula(cards, d) == ref_dimension_formula(cards, d), (cards, d)
+    assert dimension_formula([3, 2, 3], 4) == ref_dimension_formula((3, 2, 3), 4)  # a list, unsorted
+
+
+def test_dimension_formula_on_many_equal_cards():
+    # twenty cards of 2: 21 card sums in place of 2^20 subsets
+    cards = (2,) * 20
+    for d in (0, 1, 10, 19, 20, 25):
+        assert dimension_formula(cards, d) == hilbert_function(cards, d)
+    assert dimension_formula(cards, 10) == sum(math.comb(20, i) for i in range(11))
+    assert dimension_formula((2,) * 12 + (3,) * 9, 11) == hilbert_function((2,) * 12 + (3,) * 9, 11)
 
 
 def test_hilbert_examples():
@@ -245,7 +271,7 @@ def test_cached_generator_matrix_is_read_only():
     assert not arr.flags.writeable
     with pytest.raises(ValueError):
         arr[0, 0] = 1
-    # rank_mod eliminates an int64 input in place; the narrow codes are converted to a copy
+    # rank_mod eliminates a writable integer input in place; read-only codes go to a copy
     assert _kernels.rank_mod(arr, F3.tables()) == 9
     assert np.array_equal(code.generator_matrix().array, before)
 
@@ -417,13 +443,13 @@ def test_matrix_format_matches_reference(monkeypatch, p, e, sets, d):
     mat = normalize_spec(F, [tuple(s) for s in sets], d).generator_matrix()
     want = ref_matrix_format(mat)
     assert mat.format() == want
-    monkeypatch.setattr(code_module, "FORMAT_CHUNK_ENTRIES", 2 * mat.cols)  # two rows per slice
+    monkeypatch.setattr(poly, "BLOCK_ENTRIES", 2 * mat.cols)  # two rows per block
     assert mat.format() == want
 
 
 @format_cases
 def test_matrix_command_file_equals_reference(monkeypatch, tmp_path, capsys, p, e, sets, d):
-    # the command writes format_slices() to the file as they come, never format() whole
+    # the command writes each block of rows as it is evaluated, with no GeneratorMatrix
     F = make_field(p, e)
     want = ref_matrix_format(normalize_spec(F, [tuple(s) for s in sets], d).generator_matrix())
     spec = ",".join("{" + ",".join(str(x) for x in s) + "}" for s in sets)
@@ -432,7 +458,7 @@ def test_matrix_command_file_equals_reference(monkeypatch, tmp_path, capsys, p, 
     assert cli.main(argv) == 0
     assert out.read_bytes() == want.encode("ascii")
     cols = want.split("\n", 1)[0].split()[2]
-    monkeypatch.setattr(code_module, "FORMAT_CHUNK_ENTRIES", 2 * int(cols))  # two rows per slice
+    monkeypatch.setattr(poly, "BLOCK_ENTRIES", 2 * int(cols))  # two rows per block
     assert cli.main(argv) == 0
     assert out.read_bytes() == want.encode("ascii")
     capsys.readouterr()

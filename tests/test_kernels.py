@@ -372,22 +372,51 @@ def _last_pivot_column(M, tables):
     return lo
 
 
+def _narrow_cases(fields):
+    """(p, e, dtype) for each field and each narrow code dtype, uint8 or uint16, that
+    holds its codes: the dtypes that monomial_rows gives, and rank eliminates in place."""
+    return [(p, e, dt) for p, e in fields for dt in ("uint8", "uint16")
+            if np.iinfo(dt).max >= p**e - 1]
+
+
+def _eliminated_in_place(M, T, counts):
+    """rank_mod's prefix ranks of a copy of M in its own dtype, and the eliminated copy."""
+    work = M.copy()
+    profile = _kernels.rank_mod(work, T, prefixes=counts)
+    assert work.dtype == M.dtype
+    return profile, work
+
+
 @pytest.mark.parametrize("panel", [1, 2, 3])
 @pytest.mark.parametrize("p,e", RANK_PANEL_FIELDS)
 def test_rank_panels_match_right_looking_reference(monkeypatch, p, e, panel):
+    _check_rank_panels(monkeypatch, p, e, panel, "int64")
+
+
+@pytest.mark.parametrize("panel", [1, 2, 3])
+@pytest.mark.parametrize("p,e,dtype", _narrow_cases(RANK_PANEL_FIELDS))
+def test_rank_panels_match_reference_on_narrow_codes(monkeypatch, p, e, dtype, panel):
+    _check_rank_panels(monkeypatch, p, e, panel, dtype)
+
+
+def _check_rank_panels(monkeypatch, p, e, panel, dtype):
+    """The panel elimination of M in dtype against the int64 right-looking reference."""
     monkeypatch.setattr(_kernels, "PANEL_COLS", panel)
     F = make_field(p, e)
     T = F.tables()
     rng = random.Random(400 * p + 10 * e + panel)
     for name, M in _rank_panel_cases(F, rng):
+        M = M.astype(dtype)
         rows, cols = M.shape
-        ref_M = M.copy()
+        ref_M = M.astype(np.int64)
         ref = ref_pivot_rows(ref_M, T)
         got_M = M.copy()
         got = _kernels._pivot_rows(got_M, T)
         assert got.tolist() == ref.tolist(), name
         counts = list(range(rows + 1))
-        assert _kernels.rank_mod(M.copy(), T, prefixes=counts) == np.searchsorted(ref, counts).tolist()
+        profile, work = _eliminated_in_place(M, T, counts)
+        assert profile == np.searchsorted(ref, counts).tolist()
+        assert np.array_equal(work, got_M), name
         # every panel up to the last pivot's is eliminated exactly as the reference
         # does it; past it, the elimination returned and the input is untouched
         end = cols
@@ -476,6 +505,18 @@ def _rank_table_cases(F, rng):
 @pytest.mark.parametrize("panel", [1, 3])
 @pytest.mark.parametrize("p,e", RANK_TABLE_FIELDS)
 def test_rank_table_steps_match_right_looking_reference(monkeypatch, p, e, panel, chunk):
+    _check_rank_table_steps(monkeypatch, p, e, panel, chunk, "int64")
+
+
+@pytest.mark.parametrize("chunk", ["default", "q rows"])
+@pytest.mark.parametrize("panel", [1, 3])
+@pytest.mark.parametrize("p,e,dtype", _narrow_cases(RANK_TABLE_FIELDS))
+def test_rank_table_steps_match_reference_on_narrow_codes(monkeypatch, p, e, dtype, panel, chunk):
+    _check_rank_table_steps(monkeypatch, p, e, panel, chunk, dtype)
+
+
+def _check_rank_table_steps(monkeypatch, p, e, panel, chunk, dtype):
+    """The table steps on M in dtype against the int64 right-looking reference."""
     monkeypatch.setattr(_kernels, "PANEL_COLS", panel)
     F = make_field(p, e)
     T = F.tables()
@@ -490,10 +531,11 @@ def test_rank_table_steps_match_right_looking_reference(monkeypatch, p, e, panel
     monkeypatch.setattr(type(T), "add", counted_add)
     rng = random.Random(600 * p + 10 * e + panel)
     for name, M, every_step_tabled in _rank_table_cases(F, rng):
+        M = M.astype(dtype)
         rows, cols = M.shape
         if chunk == "q rows":  # the table still fits, but the hit rows go q at a time
             monkeypatch.setattr(_kernels, "CHUNK_ENTRIES", F.q * max(F.q, cols))
-        ref_M = M.copy()
+        ref_M = M.astype(np.int64)
         ref = ref_pivot_rows(ref_M, T)
         got_M = M.copy()
         updates.clear()
@@ -501,7 +543,9 @@ def test_rank_table_steps_match_right_looking_reference(monkeypatch, p, e, panel
         untabled = list(updates)
         assert got.tolist() == ref.tolist(), name
         counts = list(range(rows + 1))
-        assert _kernels.rank_mod(M.copy(), T, prefixes=counts) == np.searchsorted(ref, counts).tolist()
+        profile, work = _eliminated_in_place(M, T, counts)
+        assert profile == np.searchsorted(ref, counts).tolist()
+        assert np.array_equal(work, got_M), name
         # the same entries as the reference up to the last pivot's panel, the input past it
         end = cols
         if ref.size == rows:
@@ -513,6 +557,35 @@ def test_rank_table_steps_match_right_looking_reference(monkeypatch, p, e, panel
             assert untabled, name
         elif every_step_tabled:
             assert not untabled, (name, untabled)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (3, 2), (2, 11)])
+def test_rank_mod_eliminates_writable_codes_in_place(p, e):
+    # a writable integer array that holds every code is eliminated in its own
+    # dtype; anything else goes to one copy in the narrowest code dtype and is
+    # never written
+    F = make_field(p, e)
+    T = F.tables()
+    rng = random.Random(800 * p + e)
+    M = _combined_rows(F, 12, 4, 40, rng)
+    want = ref_pivot_rows(M.copy(), T).size
+    assert want == 4
+    for dtype in ("int64", "int32", "uint16", np.min_scalar_type(F.q - 1)):
+        work = M.astype(dtype)
+        assert _kernels.rank_mod(work, T) == want
+        assert work.dtype == dtype and not np.array_equal(work, M), dtype
+    read_only = M.astype(np.min_scalar_type(F.q - 1))
+    read_only.flags.writeable = False
+    for kept in (read_only, M.astype(np.uint64), M.astype(np.float64)):
+        before = kept.copy()
+        assert _kernels.rank_mod(kept, T) == want
+        assert np.array_equal(kept, before), kept.dtype
+    assert _kernels.rank_mod(M.tolist(), T) == want
+    if F.q > 256:  # uint8 holds these codes, but not every code the elimination makes
+        small = M % 256
+        kept = small.astype(np.uint8)
+        assert _kernels.rank_mod(kept, T) == ref_pivot_rows(small, T).size
+        assert np.array_equal(kept, M % 256)
 
 
 class _ColumnReads(np.ndarray):

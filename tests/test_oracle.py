@@ -1,8 +1,10 @@
 """Brute-force oracles: examples, budgets, verification reports."""
 
 import random
+import tracemalloc
 from math import comb
 
+import numpy as np
 import pytest
 
 from cartcodes import BudgetExceededError, CartesianCode, Grid, _kernels, make_field, normalize_spec
@@ -233,6 +235,26 @@ def test_rank_profile_matches_unreduced_full_grids(p, e, n):
     grid = Grid(F, [F.elements()] * n)
     top = n * (F.q - 1)
     assert _rank_profile(grid, top) == full_rank_profile(grid, top)
+
+
+@pytest.mark.parametrize("p,e,d", [(2, 8, 10), (257, 1, 5)], ids=["F256-uint8", "F257-uint16"])
+def test_rank_profile_memory_is_bounded_by_the_narrow_matrix(p, e, d):
+    # the all-monomials matrix of F_q^2 (66 x 65536 codes at d = 10 over F_256,
+    # 21 x 66049 at d = 5 over F_257) is eliminated in its narrow codes in place:
+    # an int64 copy of it alone is 8 (uint8) or 4 (uint16) times its bytes
+    F = make_field(p, e)
+    grid = Grid(F, [F.elements()] * 2)
+    rows = comb(2 + d, 2)  # d < q, so no power repeats and every monomial is a row
+    narrow = rows * grid.size * np.dtype(np.min_scalar_type(F.q - 1)).itemsize
+    F.tables()
+    tracemalloc.start()
+    try:
+        profile = _rank_profile(grid, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert profile == [comb(2 + k, 2) for k in range(d + 1)]
+    assert peak < 2 * narrow
 
 
 def test_verify_degrees_skips_per_degree(monkeypatch):

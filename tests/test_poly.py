@@ -326,7 +326,7 @@ def test_monomial_rows_match_pointwise_reference(monkeypatch, p, e):
             assert got.dtype == np.min_scalar_type(F.q - 1)
             assert got.tolist() == want, (sets, exps)
             with monkeypatch.context() as m:  # several row chunks
-                m.setattr(poly, "MONOMIAL_CHUNK_ENTRIES", 7)
+                m.setattr(poly, "BLOCK_ENTRIES", 7)
                 assert poly.monomial_rows(grid, exps).tolist() == want, (sets, exps)
 
 
@@ -345,6 +345,41 @@ def test_monomial_rows_memory_is_bounded():
         tracemalloc.stop()
     assert arr.shape == (495, 6561)
     assert peak < arr.nbytes + 2 * 2**20
+
+
+def test_monomial_blocks_concatenate_to_monomial_rows(monkeypatch):
+    # the blocks are new arrays of whole rows, so they can be kept, and together
+    # they are monomial_rows' array, however BLOCK_ENTRIES cuts the rows
+    F = make_field(3, 2)
+    grid = Grid(F, [(0, 1, 5), tuple(range(9)), (2, 7)])
+    exps = list(grevlex_exponents([2, 8, 1], 9))
+    want = poly.monomial_rows(grid, exps)
+    for entries in (1, 2 * grid.size, 5 * grid.size + 3, 1 << 16):
+        monkeypatch.setattr(poly, "BLOCK_ENTRIES", entries)
+        blocks = list(poly.monomial_blocks(grid, exps))
+        assert all(b.shape[0] == max(1, entries // grid.size) for b in blocks[:-1])
+        assert np.array_equal(np.vstack(blocks), want)
+        assert all(b.dtype == np.uint8 for b in blocks)
+
+
+def test_monomial_blocks_memory_is_bounded_by_a_block():
+    # F_65521 at d = 100, one coordinate: 101 x 65521 codes, 12.6 MiB as uint16.
+    # Each block is one row and forms the log powers of its own exponents; a
+    # table of every power up to t^100 would be the matrix again, in int64
+    F = make_field(65521)
+    F.tables()
+    grid = Grid(F, [F.elements()])
+    exps = [(a,) for a in range(101)]
+    tracemalloc.start()
+    try:
+        rows = 0
+        for block in poly.monomial_blocks(grid, exps):
+            rows += block.shape[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == 101
+    assert peak < 8 * 8 * grid.size  # eight int64 rows
 
 
 def test_monomial_rows_fixed_cost_does_not_grow_with_q():
