@@ -249,13 +249,16 @@ def _pivot_rows(M, tables) -> np.ndarray:
     (and for odd p from the addition table, held in M's dtype), so narrow
     codes are never widened; the logarithms and the indices into the
     addition table are int64, as numpy would convert a narrow index array
-    to intp on every gather.
+    to intp on every gather.  For the same reason a step without tables
+    over an odd extension field, whose Zech addition gathers logarithms at
+    both operands, passes the scaled pivot row as int64 codes from exp.
     """
     rows, cols = M.shape
     q = tables.q
     n = q - 1
     log, exp, nexp = tables.log, tables.exp, tables.narrow_exp
     odd = tables.p != 2
+    scale = nexp if tables.zech is None else exp  # the codes of the scaled pivot row without tables
     shift = n // 2 if odd else 0  # log(-1)
     plus = None  # a + b = plus[q * b + a], for the table steps of odd p
     if odd and q < rows and q * q <= CHUNK_ENTRIES:  # only q + 1 rows give q hit rows
@@ -275,7 +278,7 @@ def _pivot_rows(M, tables) -> np.ndarray:
             sel = hit[s : s + chunk]
             mult = M[sel, c]
             if not table:
-                M[sel, lo:hi] = tables.add(M[sel, lo:hi], nexp[log[mult][:, None] + lrow])
+                M[sel, lo:hi] = tables.add(M[sel, lo:hi], scale[log[mult][:, None] + lrow])
             elif odd:
                 M[sel, lo:hi] = plus[scaled[mult] + M[sel, lo:hi]]
             else:

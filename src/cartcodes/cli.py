@@ -16,6 +16,7 @@ import sys
 from .code import (
     CartesianCode,
     code_params,
+    digit_items,
     legend_text,
     matrix_text,
     regularity,
@@ -176,8 +177,9 @@ def cmd_matrix(args) -> int:
     code = CartesianCode(Grid(field, parse_set_expressions(field, args.sets)), args.d)
     monos = standard_monomials(code.cards, code.d)
     shape = (len(monos), code.length)
-    with open(args.out, "wb") as fh:  # each block of rows is evaluated, formatted and written in turn
-        fh.writelines(matrix_text(field.q, shape, monomial_blocks(code.grid, monos)))
+    blocks = monomial_blocks(code.grid, monos, digit_items(field.q))  # gathered straight into text
+    with open(args.out, "wb") as fh:  # each block of rows is evaluated and written in turn
+        fh.writelines(matrix_text(field.q, shape, blocks))
     with open(args.out + ".legend", "w") as fh:
         fh.write(legend_text(monos))
     print(json.dumps({"out": args.out, "rows": shape[0], "cols": shape[1]}))

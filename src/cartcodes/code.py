@@ -220,22 +220,12 @@ def standard_monomials(cards, d: int) -> list[tuple[int, ...]]:
     return list(grevlex_exponents([c - 1 for c in cards], d))
 
 
-def matrix_text(q: int, shape, blocks):
-    """Yield the matrix file body as ASCII bytes: the header, then the rows a block at a time.
+def digit_items(q: int) -> np.ndarray:
+    """The matrix file's text item of every code 0..q - 1, indexed by code.
 
-    The header is 'q n_rows n_cols'; each row is a line of decimal codes
-    separated by spaces.  `blocks` are consecutive blocks of whole rows,
-    such as those of poly.monomial_blocks, and each is formatted as it
-    comes, so a writer that consumes the output as it is made holds one
-    block of rows and its text, never the whole matrix or the whole text.
-    The table, built once for the codes 0..q - 1, has one item of width + 1
-    bytes per code: its decimal digits right-aligned after NUL padding, then
-    a space.  A block is one take from it; the last space of each row
-    becomes a newline, and the padding is deleted when some code has more
-    than one digit.
+    An item is width + 1 bytes, width the number of digits of q - 1: the
+    code's decimal digits right-aligned after NUL padding, then a space.
     """
-    rows, cols = shape
-    yield f"{q} {rows} {cols}\n".encode("ascii")
     codes = np.arange(q)
     width = len(str(q - 1))
     table = np.zeros((q, width + 1), dtype=np.uint8)
@@ -244,15 +234,27 @@ def matrix_text(q: int, shape, blocks):
         table[:, k] = np.where(codes >= place, 48 + codes // place % 10, 0)
     table[:, width - 1] = 48 + codes % 10  # every code has a units digit
     table[:, width] = 32
-    table = table.view(np.dtype((np.void, width + 1))).ravel()
-    items = table[:0]  # a block's items, kept for the next block when it fits
+    return table.view(np.dtype((np.void, width + 1))).ravel()
+
+
+def matrix_text(q: int, shape, blocks):
+    """Yield the matrix file body: the header, then the rows a block at a time.
+
+    The header is 'q n_rows n_cols'; each row is a line of decimal codes
+    separated by spaces.  `blocks` are consecutive blocks of whole rows of
+    digit_items(q) items, such as poly.monomial_blocks gathers straight from
+    the grid, each a new array that this writer then owns: the last space
+    of each row becomes a newline, and the block's buffer is yielded as it
+    is when every code has one digit, or as bytes with the NUL padding
+    deleted.  So a writer that consumes the output as it is made holds one
+    block of rows and its text, never the whole matrix or the whole text.
+    """
+    rows, cols = shape
+    yield f"{q} {rows} {cols}\n".encode("ascii")
     for block in blocks:
-        if items.size < block.size:
-            items = np.empty(block.size, dtype=table.dtype)
-        text = np.take(table, block, mode="clip", out=items[: block.size].reshape(block.shape))
-        text = text.view(np.uint8)  # one row of bytes per row
+        text = block.view(np.uint8).reshape(len(block), -1)  # one row of bytes per row
         text[:, -1] = 10
-        yield text.tobytes().translate(None, b"\0") if width > 1 else text.tobytes()
+        yield text.tobytes().translate(None, b"\0") if q > 10 else text
 
 
 def legend_text(monomials) -> str:
@@ -286,12 +288,14 @@ class GeneratorMatrix:
     def format(self) -> str:
         """Matrix file body: 'q n_rows n_cols' then one row of codes per line.
 
-        The join of matrix_text over the array's row_blocks; a file writer
-        should write the blocks of matrix_text instead, so the whole body
-        never exists at once.
+        The join of matrix_text over the array's row_blocks, each gathered
+        from digit_items; a file writer should write the blocks of
+        matrix_text instead, so the whole body never exists at once.
         """
-        blocks = (self.array[b] for b in row_blocks(self.rows, self.cols))
-        return b"".join(matrix_text(self.grid.field.q, self.array.shape, blocks)).decode("ascii")
+        q = self.grid.field.q
+        items = digit_items(q)
+        blocks = (items.take(self.array[b], mode="clip") for b in row_blocks(self.rows, self.cols))
+        return b"".join(matrix_text(q, self.array.shape, blocks)).decode("ascii")
 
     def legend(self) -> str:
         """Sidecar body: exponent vectors in row order."""

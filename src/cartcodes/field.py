@@ -9,8 +9,10 @@ All arithmetic on codes, scalar or vectorized, goes through one
 representation: the O(q) log/exp tables of FieldTables, plus a Zech table
 for odd extension fields only, built once per field on first use.  They are
 built from multiplication matrices, the F_p-linear maps x -> c*x on
-coefficient rows; the same matrices find the primitive element and the
-cyclic subgroups, so neither needs the tables.
+coefficient rows; stacks of the same matrices, raised to powers by
+square-and-multiply, test a batch of candidates for the primitive element
+at once and give the generators of the cyclic subgroups, so neither needs
+the tables.
 Addition reads the tables only over odd extension fields: in characteristic
 2 it is the XOR of the codes, and over an odd prime their sum mod p.
 """
@@ -310,9 +312,10 @@ class Field:
         """Base-p digits of codes, constant term first, along a new last axis."""
         return np.asarray(codes, dtype=np.int64)[..., None] // self._weights % self.p
 
-    def _mul_matrix(self, c: int) -> np.ndarray:
+    def _mul_matrix(self, c) -> np.ndarray:
         """The e x e matrix M over F_p with digits(a*c) = digits(a) @ M mod p.
 
+        For an array of codes c, one matrix per code, stacked along its axes.
         Row j holds the digits of c * x^j: the previous row shifted up one
         power, with x^e rewritten through the modulus.  The entries are
         float64 so that products run through BLAS; every intermediate is an
@@ -323,8 +326,9 @@ class Field:
         rows = [self._digits(c)]
         for _ in range(1, self.e):
             prev = rows[-1]
-            rows.append((np.concatenate(([0], prev[:-1])) + prev[-1] * top) % p)
-        return np.array(rows, dtype=np.float64)
+            shifted = np.concatenate((np.zeros_like(prev[..., :1]), prev[..., :-1]), axis=-1)
+            rows.append((shifted + prev[..., -1:] * top) % p)
+        return np.stack(rows, axis=-2).astype(np.float64)
 
     def _times(self, codes, M: np.ndarray) -> np.ndarray:
         """Codes of codes * c, for M = _mul_matrix(c)."""
@@ -332,16 +336,26 @@ class Field:
         digits %= self.p
         return digits @ self._weights
 
-    def _power(self, c: int, k: int) -> int:
-        """c^k for k >= 0, by square-and-multiply on multiplication matrices."""
-        M = self._mul_matrix(c)
-        out = 1
-        while k:
-            if k & 1:
-                out = int(self._times(out, M))
-            k >>= 1
-            M = M @ M % self.p
-        return out
+    def _power_codes(self, codes, exponents) -> np.ndarray:
+        """[i, b] = the code of codes[b]^exponents[i], every exponent >= 0.
+
+        Square-and-multiply on the stack of the codes' multiplication
+        matrices: the digits of 1 are multiplied by M^(2^j) for each bit j
+        of an exponent, and the squarings are shared by all of them.
+        """
+        p = self.p
+        M = self._mul_matrix(np.asarray(codes, dtype=np.int64))  # (B, e, e)
+        ks = list(exponents)
+        digits = np.zeros((len(ks),) + M.shape[:-1])  # (K, B, e): the digits of 1
+        digits[..., 0] = 1
+        while True:
+            for i, k in enumerate(ks):
+                if k & 1:
+                    digits[i] = np.matmul(digits[i][:, None, :], M)[:, 0] % p
+            ks = [k >> 1 for k in ks]
+            if not any(ks):
+                return digits.astype(np.int64) @ self._weights
+            M = M @ M % p
 
     def _powers(self, c: int, count: int) -> np.ndarray:
         """Codes of c^0, ..., c^(count-1): block [n, 2n) is block [0, n) times c^n."""
@@ -368,20 +382,32 @@ class Field:
         return n // math.gcd(int(self.tables().log[a]), n)
 
     def primitive_element(self) -> int:
-        """Smallest code whose multiplicative order is q - 1."""
+        """Smallest code whose multiplicative order is q - 1.
+
+        c is primitive when c^((q-1)/r) != 1 for every prime r dividing
+        q - 1.  The candidates from 2 on (1 is primitive only in F_2) are
+        tested in batches of 1, 2, 4, ... codes, each batch by one
+        _power_codes, and the first batch with a primitive code holds the
+        smallest one.
+        """
         if self._primitive is None:
             n = self.q - 1
-            primes = factorize(n)
-            self._primitive = next(
-                a for a in range(1, self.q) if all(self._power(a, n // r) != 1 for r in primes)
-            )
+            ks = [n // r for r in factorize(n)]
+            start, size = 2, 1
+            self._primitive = 1 if n == 1 else None
+            while self._primitive is None:
+                cand = np.arange(start, min(start + size, self.q))
+                ok = (self._power_codes(cand, ks) != 1).all(axis=0)
+                if ok.any():
+                    self._primitive = int(cand[ok.argmax()])
+                start, size = start + size, 2 * size
         return self._primitive
 
     def subgroup_of_order(self, k: int) -> Subgroup:
         """The unique cyclic subgroup of order k; k must divide q - 1."""
         if k < 1 or (self.q - 1) % k != 0:
             raise NotADivisorError(f"{k} does not divide q - 1 = {self.q - 1}")
-        g = self._power(self.primitive_element(), (self.q - 1) // k)
+        g = int(self._power_codes([self.primitive_element()], [(self.q - 1) // k])[0, 0])
         elems = self._powers(g, k).tolist()
         return Subgroup(order=k, generator=g, elements=tuple(sorted(elems)))
 

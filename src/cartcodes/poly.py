@@ -4,10 +4,16 @@ Monomials are exponent tuples, coefficients are element codes.  The grid
 normal form caps the degree in t_i at |A_i| - 1 by rewriting with the
 univariate polynomials that vanish on the coordinate sets; it agrees with
 the input at every grid point and never raises the total degree.
+
+Monomials are evaluated on a whole grid (monomial_rows, monomial_blocks) by
+its Kronecker structure: the values of x^a on A_1 x ... x A_n are the
+Kronecker product of the power vectors A_i^(a_i), built one coordinate at a
+time through small product tables, a block of rows at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 
 import numpy as np
@@ -51,6 +57,10 @@ _FACTOR = re.compile(r"^t(\d+)(?:\^(\d+))?$")
 # unit in which monomial_blocks evaluates and the matrix writer formats, so
 # it bounds the temporaries of both.
 BLOCK_ENTRIES = 1 << 16
+
+# Least mean number of reads of each code of a product table of monomial_blocks: a
+# table read less is not built, as it costs more than it saves on small calls.
+TABLE_READS = 32
 
 
 class MultiPoly:
@@ -352,88 +362,94 @@ def row_blocks(rows: int, cols: int) -> list[slice]:
     return [slice(s, s + step) for s in range(0, rows, step)]
 
 
-def _log_blocks(grid: Grid, exps_list):
-    """Yield (rows, logs) for each slice of row_blocks(len(exps_list), grid.size) in order.
+def monomial_blocks(grid: Grid, exps_list, items=None, out=None):
+    """Yield the rows of monomial_rows(grid, exps_list) a block at a time.
 
-    logs holds the logarithms of the values of those rows' monomials, one
-    int64 axis per coordinate (grid.points() order once flattened), each in
-    [0, Z) or at most 2Z where the value is 0 (see monomial_rows).  The
-    powers x^a of each coordinate set are formed for the block's own
-    exponents, so no table larger than a block is made even when one set is
-    the whole grid, and the block-size sums go to one array that every
-    block reuses; a block's logs are valid until the next block is made.
+    The blocks are the row_blocks slices in order, each a new array, or
+    out[rows] when `out` is given.  With `items`, an array indexed by code,
+    a block holds items[code] in place of each code: the matrix command
+    passes the writer's decimal text items (code.digit_items), so it never
+    holds the whole matrix, and each block is gathered straight into text.
+
+    A row is the Kronecker product of the power vectors A_i^(a_i), so a
+    block is built one coordinate at a time.  The first coordinate's powers
+    are formed, as logs, for the block's own exponents.  A later coordinate
+    gathers, indexed by the partial codes x, from its product table
+    T_i[k, x, j] = x * A_i[j]^(v_k) over its distinct exponents v_k, built
+    once per call (0^0 = 1 is in it).  A table of more than BLOCK_ENTRIES
+    codes, or read less than TABLE_READS times per code, is not built; that
+    coordinate adds logs instead, log x + log A_i^a with the sentinel Z for
+    a power that is 0, the last one into an int64 array every block reuses.
+    The last table is composed with the items; after a log step the codes
+    take one gather from them.
     """
-    rows = len(exps_list)
+    rows, n, q = len(exps_list), grid.n, grid.field.q
     if rows == 0:
         return
     T = grid.field.tables()
-    n = grid.n
-    exps = np.array(exps_list, dtype=np.int64).reshape(rows, n)
-    logs = [T.log[np.array(s, dtype=np.int64)] for s in grid.sets]
+    log, nexp = T.log, T.narrow_exp
+    exps = np.fromiter(itertools.chain.from_iterable(exps_list), dtype=np.int64).reshape(rows, n)
+    logs = [log.take(s) for s in grid.sets]
 
     def log_powers(i, a):  # [k, j] = log(A_i[j]^a[k]): in [0, N), or Z where that power is 0
         lp = np.multiply.outer(a, logs[i])
-        lp %= grid.field.q - 1
+        lp %= q - 1
         if grid.sets[i][0] == 0:  # the sets are sorted, so 0 comes first
-            lp[a > 0, 0] = T.sentinel
+            lp[:, 0][a > 0] = T.sentinel
         return lp
 
+    tables, reads = [None] * n, rows  # tables[i]: T_i, rows k * q + x, and each row's k * q
+    for i, card in enumerate(grid.cards):
+        reads *= card  # the codes that coordinate i makes over the call
+        vals = sorted({a[i] for a in exps_list}) if i and TABLE_READS * q * card <= reads else ()
+        size = len(vals) * q * card
+        if vals and size <= BLOCK_ENTRIES and TABLE_READS * size <= reads:
+            tab = nexp[log_powers(i, np.array(vals))[:, None, :] + log[:, None]]
+            tab = items[tab] if i == n - 1 and items is not None else tab
+            tables[i] = (tab.reshape(-1, card), np.searchsorted(vals, exps[:, i : i + 1]) * q)
     blocks = row_blocks(rows, grid.size)
-    work = np.empty(min(rows, blocks[0].stop) * grid.size if n > 1 else 0, dtype=np.int64)
+    last = nexp if items is None else items  # what the last gather reads
+    # the log sums of the last coordinate go to one array that every block reuses
+    work = np.empty(min(rows, blocks[0].stop) * grid.size if n > 1 and tables[-1] is None else 0, np.int64)
     for b in blocks:
         e = exps[b]
-        total = log_powers(0, e[:, 0])
+        block = np.empty((len(e), grid.size), last.dtype) if out is None else out[b]
+        codes, lsum = None, log_powers(0, e[:, 0])  # the partial rows: codes, or log sums
         for i in range(1, n):
-            if i > 1:
-                total = T.log[T.exp[total]]
-            step = log_powers(i, e[:, i]).reshape((len(e),) + (1,) * i + (-1,))
-            shape = total.shape + step.shape[-1:]
-            out = work[: len(e) * grid.size].reshape(shape) if i == n - 1 else None
-            total = np.add(total[..., None], step, out=out)
-        yield b, total
+            if tables[i] is None:
+                step = log_powers(i, e[:, i])
+                part = lsum if codes is None else log[codes]
+                sums = work[: block.size].reshape(len(e), -1, step.shape[1]) if i == n - 1 else None
+                lsum = np.add(part[:, :, None], step[:, None, :], out=sums).reshape(len(e), -1)
+                codes = nexp.take(lsum, mode="clip") if i < n - 1 else None
+            else:
+                codes = nexp.take(lsum, mode="clip") if codes is None else codes
+                dest = block.reshape(len(e), codes.shape[1], -1) if i == n - 1 else None
+                codes = tables[i][0].take(tables[i][1][b] + codes, axis=0, out=dest, mode="clip")
+                codes = codes.reshape(len(e), -1)
+        if codes is None:  # one coordinate, or the last multiplied through the log tables
+            if items is not None:
+                lsum = nexp.take(lsum, mode="clip")
+            last.take(lsum, out=block.reshape(lsum.shape), mode="clip")
+        yield block
 
 
 def monomial_rows(grid: Grid, exps_list) -> np.ndarray:
     """Evaluations of monomials on the whole grid, one row per monomial.
 
-    Columns follow grid.points() order.  Works in the log domain: each power
-    x^a on a coordinate set is its logarithm a log x mod N (N = q - 1), or
-    the sentinel Z of FieldTables where x = 0 and a > 0 (0^0 = 1 has log
-    0).  The coordinates are folded in by broadcast addition.  Before each
-    coordinate from the third on, the partial sums, which span only the
-    coordinates folded so far, are brought back to [0, N) or Z through
-    log[exp[.]].  So every sum of two terms is below Z unless a factor is 0,
-    and at most 2Z if one is; the last, block-size step is one add and one
-    gather from exp, whose zero tail maps every index from Z to 2Z to 0.
-    The rows are evaluated a block of about BLOCK_ENTRIES codes at a time
-    (_log_blocks), so the int64 sums never exceed a block.
-
-    The rows are in the narrowest unsigned dtype that holds a code,
-    np.min_scalar_type(q - 1): uint8 up to q = 256, uint16 up to 65536 and
-    uint32 above.  The final gather reads the tables' copy of exp in that
-    dtype (FieldTables.narrow_exp, built once per field) and writes straight
-    into the output rows, so a call's fixed cost does not grow with q.  The
-    rank oracle eliminates the rows in place (_kernels.rank_mod); callers
-    that do other table arithmetic in place convert a copy.
+    Columns follow grid.points() order.  The rows are evaluated a block of
+    about BLOCK_ENTRIES codes at a time (monomial_blocks), and each block's
+    last gather writes into them.  They are in the narrowest unsigned dtype
+    that holds a code, np.min_scalar_type(q - 1) (uint8 up to q = 256),
+    gathered from FieldTables.narrow_exp, so a call's fixed cost does not
+    grow with q.  The rank oracle eliminates the rows in place
+    (_kernels.rank_mod); callers that do other table arithmetic in place
+    convert a copy.
     """
     arr = np.empty((len(exps_list), grid.size), dtype=np.min_scalar_type(grid.field.q - 1))
-    for b, logs in _log_blocks(grid, exps_list):
-        # every index is in [0, 2Z], exp's range; "clip" lets take write into out unbuffered
-        np.take(grid.field.tables().narrow_exp, logs, out=arr[b].reshape(logs.shape), mode="clip")
+    for _ in monomial_blocks(grid, exps_list, out=arr):
+        pass
     return arr
-
-
-def monomial_blocks(grid: Grid, exps_list):
-    """Yield the rows of monomial_rows(grid, exps_list) a block at a time.
-
-    The blocks are the row_blocks slices in order, each a new array of
-    narrow codes, so a consumer that formats or writes them as they come
-    (the matrix command) never holds the whole matrix, nor int64 sums
-    larger than a block.
-    """
-    nexp = grid.field.tables().narrow_exp
-    for _, logs in _log_blocks(grid, exps_list):
-        yield np.take(nexp, logs, mode="clip").reshape(logs.shape[0], -1)
 
 
 def evaluate_on_grid(f: MultiPoly, grid: Grid) -> np.ndarray:

@@ -230,6 +230,48 @@ def ref_inv(field, a):
     return ref_pow(field, a, field.q - 2)
 
 
+def ref_primitive_element(field):
+    """The smallest code a with a^((q-1)/r) != 1 for every prime r dividing q - 1.
+
+    The scalar search: each candidate in turn, one ref_pow per prime.
+    """
+    n = m = field.q - 1
+    primes, r = [], 2
+    while r * r <= m:  # trial division
+        if m % r == 0:
+            primes.append(r)
+            while m % r == 0:
+                m //= r
+        r += 1
+    primes += [m] if m > 1 else []
+    return next(a for a in range(1, field.q) if all(ref_pow(field, a, n // r) != 1 for r in primes))
+
+
+def ref_monomial_rows(grid, exps_list):
+    """monomial_rows as lists: the value of each monomial at each point, one ref_mul per coordinate."""
+    F = grid.field
+    powers = {}
+    rows = []
+    for a in exps_list:
+        row = []
+        for pt in grid.points():
+            v = 1
+            for x, k in zip(pt, a):
+                if (x, k) not in powers:
+                    powers[x, k] = ref_pow(F, x, k)
+                v = ref_mul(F, v, powers[x, k])
+            row.append(v)
+        rows.append(row)
+    return rows
+
+
+def ref_matrix_text(grid, exps_list):
+    """The matrix file of the rows of exps_list on the grid: ref_monomial_rows, one str() per code."""
+    lines = [f"{grid.field.q} {len(exps_list)} {grid.size}"]
+    lines += [" ".join(str(v) for v in row) for row in ref_monomial_rows(grid, exps_list)]
+    return "\n".join(lines) + "\n"
+
+
 # -- negative control ---------------------------------------------------------------
 
 

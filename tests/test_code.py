@@ -36,6 +36,7 @@ from helpers import (
     ref_dimension_formula,
     ref_extremal_codeword,
     ref_matrix_format,
+    ref_matrix_text,
     ref_pow,
     span_words,
 )
@@ -461,6 +462,46 @@ def test_matrix_command_file_equals_reference(monkeypatch, tmp_path, capsys, p, 
     monkeypatch.setattr(poly, "BLOCK_ENTRIES", 2 * int(cols))  # two rows per block
     assert cli.main(argv) == 0
     assert out.read_bytes() == want.encode("ascii")
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("q", [2, 9, 11, 257])
+def test_matrix_command_file_equals_pointwise_reference(monkeypatch, tmp_path, capsys, q):
+    # The command gathers each block of rows straight into text.  Against one
+    # str() per pointwise value: one- to three-digit codes, sets that hold 0, and
+    # product tables taken by every coordinate after the first, by none, or by
+    # all with blocks that cut the grevlex runs of the last exponent
+    F = field_for_order(q)
+    rng = random.Random(q)
+    cases = []
+    for n in (1, 2, 3, 4):
+        for _ in range(2):
+            sets = [rng.sample(range(q), rng.randint(1, min(q, 4))) for _ in range(n)]
+            for s in sets[: rng.randint(1, n)]:
+                s[0] = 0 if 0 not in s else s[0]
+            code = CartesianCode(Grid(F, sets), 0)
+            cases.append((sets, rng.randint(0, code.regularity + 1)))
+    # up to 66 x 256, more rows than a block of the size of the largest table holds
+    cases.append(([[0] + rng.sample(range(1, q), min(q - 1, 3)) for _ in range(4)], 4))
+    out = tmp_path / "m.mat"
+    cuts = 0
+    for sets, d in cases:
+        code = CartesianCode(Grid(F, sets), d)
+        monos = standard_monomials(code.cards, d)
+        want = ref_matrix_text(code.grid, monos).encode("ascii")
+        fit = q * max(code.cards) * (min(d, max(code.cards) - 1) + 1)  # codes of the largest table
+        step = max(1, fit // code.length)  # rows per block when BLOCK_ENTRIES = fit
+        cuts += any(monos[s - 1][-1] == monos[s][-1] for s in range(step, len(monos), step))
+        spec = ",".join("{" + ",".join(map(str, s)) + "}" for s in sets)
+        argv = ["matrix", "--q", str(q), "--sets", spec, "--d", str(d), "--out", str(out)]
+        for settings in ({}, {"BLOCK_ENTRIES": 1 << 40, "TABLE_READS": 0}, {"BLOCK_ENTRIES": 1},
+                         {"BLOCK_ENTRIES": fit, "TABLE_READS": 0}):
+            with monkeypatch.context() as m:
+                for name, value in settings.items():
+                    m.setattr(poly, name, value)
+                assert cli.main(argv) == 0
+            assert out.read_bytes() == want, (sets, d, settings)
+    assert cuts
     capsys.readouterr()
 
 

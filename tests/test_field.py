@@ -15,8 +15,8 @@ from cartcodes import (
     make_field,
 )
 from cartcodes import field as field_module
-from cartcodes.field import _smallest_irreducible, is_prime
-from helpers import ref_add, ref_inv, ref_mul, ref_neg, ref_pow
+from cartcodes.field import _smallest_irreducible, factorize, is_prime
+from helpers import ref_add, ref_inv, ref_mul, ref_neg, ref_pow, ref_primitive_element
 
 
 def _f3_quadratic_oracle():
@@ -128,6 +128,20 @@ def test_primitive_element_examples():
     F9 = make_field(3, 2)
     smallest = min(a for a in range(1, 9) if _order_by_powering(F9, a) == 8)
     assert F9.primitive_element() == smallest == 4
+
+
+# every prime power up to 1024, the primes of the benchmark's construct commands
+# (181, 259201, 120121) and the largest prime below the field-size cap
+PRIMITIVE_FIELDS = [q for q in range(2, 1025) if len(factorize(q)) == 1] + [181, 259201, 120121, 1048573]
+
+
+def test_primitive_element_matches_scalar_search():
+    # batches of 1, 2, 4, ... candidates find the smallest primitive code, as
+    # testing each candidate in turn does
+    for q in PRIMITIVE_FIELDS:
+        [(p, e)] = factorize(q).items()
+        F = Field(p, e, _smallest_irreducible(p, e))  # a private instance, no cached tables
+        assert F.primitive_element() == ref_primitive_element(F), q
 
 
 def test_element_order_agrees_with_powering():

@@ -23,7 +23,7 @@ from cartcodes import (
     vanishing_univariate,
     zero_count,
 )
-from helpers import random_grid, random_poly, ref_grid_sets, ref_mul, ref_pow
+from helpers import random_grid, random_poly, ref_grid_sets, ref_monomial_rows, ref_pow
 
 
 def test_evaluate_examples():
@@ -296,6 +296,17 @@ def test_grevlex_exponents_match_sorted_box():
         assert list(grevlex_exponents(caps, d)) == sorted(box, key=grevlex_key)
 
 
+# poly settings under which monomial rows are checked: the defaults; several row
+# blocks; every coordinate after the first through its product table, in one
+# block; and none of them, a row per block (every table has at least 2 codes)
+EVALUATIONS = [
+    {},
+    {"BLOCK_ENTRIES": 7},
+    {"BLOCK_ENTRIES": 1 << 40, "TABLE_READS": 0},
+    {"BLOCK_ENTRIES": 1},
+]
+
+
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (13, 1), (2, 11)])
 def test_monomial_rows_match_pointwise_reference(monkeypatch, p, e):
     F = make_field(p, e)
@@ -309,25 +320,38 @@ def test_monomial_rows_match_pointwise_reference(monkeypatch, p, e):
                     s[0] = 0
                 sets.append(sorted(s))
             grid = Grid(F, sets)
-            # exponents past q - 1 wrap around; (0, ..., 0) checks 0^0 = 1
+            # exponents past q - 1 wrap around; (0, ..., 0) checks 0^0 = 1; exponents
+            # in random order have short runs of equal values, in grevlex order long ones
             exps = {(0,) * n} | {tuple(rng.randint(0, F.q + 1) for _ in range(n)) for _ in range(5)}
-            exps = sorted(exps)
-            powers = {(x, k): ref_pow(F, x, k) for s, col in zip(sets, zip(*exps)) for x in s for k in col}
-            want = []
-            for a in exps:
-                row = []
-                for pt in grid.points():
-                    v = 1
-                    for x, k in zip(pt, a):
-                        v = ref_mul(F, v, powers[x, k])
-                    row.append(v)
-                want.append(row)
-            got = poly.monomial_rows(grid, exps)
-            assert got.dtype == np.min_scalar_type(F.q - 1)
-            assert got.tolist() == want, (sets, exps)
-            with monkeypatch.context() as m:  # several row chunks
-                m.setattr(poly, "BLOCK_ENTRIES", 7)
-                assert poly.monomial_rows(grid, exps).tolist() == want, (sets, exps)
+            exps |= {tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(6)}
+            shuffled = rng.sample(sorted(exps), len(exps))
+            for order in (shuffled, sorted(exps, key=grevlex_key)):
+                want = ref_monomial_rows(grid, order)
+                for settings in EVALUATIONS:
+                    with monkeypatch.context() as m:
+                        for name, value in settings.items():
+                            m.setattr(poly, name, value)
+                        got = poly.monomial_rows(grid, order)
+                    assert got.dtype == np.min_scalar_type(F.q - 1)
+                    assert got.tolist() == want, (sets, order, settings)
+
+
+@pytest.mark.parametrize("order", ["table-then-log", "log-then-table"])
+def test_monomial_rows_mix_tables_and_log_steps(monkeypatch, order):
+    # A set of 150 elements of F_257 has a product table of 257 * 150 codes per
+    # exponent, too large for BLOCK_ENTRIES at two or more, so that coordinate
+    # multiplies through the log tables while the small ones take their tables
+    F = make_field(257)
+    rng = random.Random(257)
+    small = [sorted(rng.sample(range(1, 257), 2) + [0]), sorted(rng.sample(range(257), 4))]
+    big = sorted(rng.sample(range(257), 150))
+    sets = [small[0], small[1], big] if order == "table-then-log" else [small[0], big, small[1]]
+    grid = Grid(F, sets)
+    exps = list(grevlex_exponents([2, 3, 3], 3))  # four exponents for the coordinates after the first
+    monkeypatch.setattr(poly, "TABLE_READS", 0)
+    assert poly.monomial_rows(grid, exps).tolist() == ref_monomial_rows(grid, exps)
+    monkeypatch.setattr(poly, "BLOCK_ENTRIES", 4 * 257 * 4)  # the small table just fits, two rows per block
+    assert poly.monomial_rows(grid, exps).tolist() == ref_monomial_rows(grid, exps)
 
 
 def test_monomial_rows_memory_is_bounded():
