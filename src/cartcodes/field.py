@@ -163,12 +163,12 @@ class FieldTables:
     codes that mul and the zech add return are int64.
     XOR and the modular sum return the dtype that numpy promotes their
     inputs' dtypes to (a Python int counts as int64), so narrow codes in give
-    narrow codes out.  neg, inv and narrow_exp (a copy of exp for gathers
-    that write narrow codes) hold codes only, in the narrowest unsigned dtype
-    that holds one (uint8 up to q = 256).
+    narrow codes out.  neg and narrow_exp (a copy of exp for gathers that
+    write narrow codes) hold codes only, in the narrowest unsigned dtype that
+    holds one (uint8 up to q = 256).
     """
 
-    __slots__ = ("q", "p", "sentinel", "log", "exp", "narrow_exp", "zech", "neg", "inv", "modsum")
+    __slots__ = ("q", "p", "sentinel", "log", "exp", "narrow_exp", "zech", "neg", "modsum")
 
     def __init__(self, field: "Field"):
         q, p = field.q, field.p
@@ -191,10 +191,8 @@ class FieldTables:
             zech[n:z] = zech_units[1:]
             zech[z : z + n] = zech_units
         code = np.min_scalar_type(n)  # codes are below q, so narrowing them is exact
-        inv = np.zeros(q, dtype=code)  # inv[0] is unused and left at 0
-        inv[1:] = exp[-log[1:] % n]
         self.q, self.p, self.sentinel = q, p, z
-        self.log, self.exp, self.zech, self.inv = log, exp, zech, inv
+        self.log, self.exp, self.zech = log, exp, zech
         self.narrow_exp = exp.astype(code)
         self.neg = exp[log + (0 if p == 2 else n // 2)].astype(code)  # -1 = g^(N/2) for odd p
         self.modsum = np.min_scalar_type(2 * n) if p != 2 and q == p else None
@@ -301,7 +299,8 @@ class Field:
         a = self.validate(a)
         if a == 0:
             raise ZeroDivisionError(f"inverse of 0 in {self!r}")
-        return int(self.tables().inv[a])
+        T = self.tables()
+        return int(T.exp[-T.log[a] % (self.q - 1)])
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))

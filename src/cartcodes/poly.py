@@ -153,12 +153,8 @@ class MultiPoly:
         F = self.field
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            s = F.add(out.get(exps, 0), c)
-            if s:
-                out[exps] = s
-            elif exps in out:
-                del out[exps]
-        return MultiPoly(F, self.n, out)
+            out[exps] = F.add(out.get(exps, 0), c)
+        return MultiPoly(F, self.n, out)  # which drops the zero sums
 
     def __neg__(self):
         F = self.field
@@ -177,11 +173,7 @@ class MultiPoly:
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 key = tuple(x + y for x, y in zip(ea, eb))
-                s = F.add(out.get(key, 0), F.mul(ca, cb))
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
+                out[key] = F.add(out.get(key, 0), F.mul(ca, cb))
         return MultiPoly(F, self.n, out)
 
     def __rmul__(self, other):
@@ -279,12 +271,13 @@ class MultiPoly:
 def vanishing_univariate(grid: Grid, i: int) -> MultiPoly:
     """prod_{c in A_i} (t_i - c), the monic polynomial cutting out A_i."""
     F = grid.field
-    coeffs = _monic_root_product(F.tables(), grid.sets[i]).tolist()
-    terms = {}
-    for a, c in enumerate(coeffs):
-        if c:
-            terms[tuple(a if j == i else 0 for j in range(grid.n))] = c
-    return MultiPoly(F, grid.n, terms)
+    return _univariate(F, grid.n, i, _monic_root_product(F.tables(), grid.sets[i]).tolist())
+
+
+def _univariate(F: Field, n: int, i: int, coeffs) -> MultiPoly:
+    """sum_a coeffs[a] t_i^a, a polynomial in n variables (i is 0-based)."""
+    return MultiPoly(F, n, {tuple(a if j == i else 0 for j in range(n)): c
+                            for a, c in enumerate(coeffs)})
 
 
 def _monic_root_product(T, roots) -> np.ndarray:
@@ -316,43 +309,26 @@ def _reduced_powers(F: Field, elems, max_exp: int) -> list[list[int]]:
 def reduce_mod_grid(f: MultiPoly, grid: Grid) -> MultiPoly:
     """Normal form with deg_{t_i} < |A_i|, equal to f at every grid point.
 
-    Idempotent and linear; the total degree never increases.
+    Each term c * t^a becomes c times the product over i of the reduced
+    powers t_i^(a_i) mod prod_{x in A_i}(t_i - x), summed by MultiPoly's own
+    arithmetic.  Idempotent and linear; the total degree never increases.
     """
     if f.field != grid.field:
         raise FieldMismatchError("polynomial and grid fields differ")
     if f.n != grid.n:
         raise ArityMismatchError(f"polynomial has {f.n} variables, grid has {grid.n}")
-    F = f.field
-    maxe = [0] * f.n
-    for exps in f.terms:
-        for i, a in enumerate(exps):
-            if a > maxe[i]:
-                maxe[i] = a
-    tables = [_reduced_powers(F, grid.sets[i], maxe[i]) for i in range(f.n)]
-    out: dict[tuple[int, ...], int] = {}
+    F, n = f.field, f.n
+    powers = []  # powers[i][a]: t_i^a reduced, for a up to f's largest a_i
+    for i in range(n):
+        rows = _reduced_powers(F, grid.sets[i], max((e[i] for e in f.terms), default=0))
+        powers.append([_univariate(F, n, i, row) for row in rows])
+    out = MultiPoly.zero(F, n)
     for exps, coeff in f.terms.items():
-        partial = {(): coeff}
+        term = MultiPoly.constant(F, n, coeff)
         for i, a in enumerate(exps):
-            row = tables[i][a]
-            nxt: dict[tuple[int, ...], int] = {}
-            for pexps, pc in partial.items():
-                for e_i, rc in enumerate(row):
-                    if rc == 0:
-                        continue
-                    key = pexps + (e_i,)
-                    s = F.add(nxt.get(key, 0), F.mul(pc, rc))
-                    if s:
-                        nxt[key] = s
-                    elif key in nxt:
-                        del nxt[key]
-            partial = nxt
-        for key, v in partial.items():
-            s = F.add(out.get(key, 0), v)
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return MultiPoly(F, f.n, out)
+            term = term * powers[i][a]
+        out = out + term
+    return out
 
 
 def row_blocks(rows: int, cols: int) -> list[slice]:

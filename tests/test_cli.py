@@ -116,6 +116,28 @@ def test_table_csv_golden(capsys):
     assert out == "d,length,dimension,min_distance\n1,2,2,1\n"
 
 
+# The params, table and construct reports, byte for byte as recorded in
+# data/reports.txt, one command after another; the CI's console-script step
+# diffs the installed command's output against the same file.
+GOLDEN_REPORT_COMMANDS = [
+    ("params", "--q", "9", "--sets", "fullx4", "--d", "3"),
+    ("params", "--q", "5", "--sets", "{1,2},subgroup:4", "--d", "0"),
+    ("table", "--q", "9", "--sets", "fullx4", "--dmax", "5", "--format", "json"),
+    ("table", "--torus", "2,5,9", "--dmax", "13", "--format", "csv"),
+    ("construct", "--degrees", "2,5,9"),
+]
+
+
+def test_reports_match_golden_bytes(capsys):
+    outs = []
+    for argv in GOLDEN_REPORT_COMMANDS:
+        rc, out, _ = run_cli(capsys, *argv)
+        assert rc == 0
+        outs.append(out)
+    golden = Path(__file__).parent / "data" / "reports.txt"
+    assert "".join(outs).encode() == golden.read_bytes()
+
+
 def test_table_byte_determinism(capsys):
     args = ("table", "--torus", "2,5,9", "--dmax", "13", "--format", "csv")
     _, first, _ = run_cli(capsys, *args)

@@ -188,7 +188,7 @@ def test_tables_match_scalar_ops(p, e):
     for x in range(F.q):
         assert T.neg[x] == F.neg(x) == ref_neg(F, x)
         if x:
-            assert T.inv[x] == F.inv(x) == ref_inv(F, x)
+            assert F.inv(x) == ref_inv(F, x)
         for k in (0, 1, 2, F.q - 2, F.q + 3):
             assert F.pow(x, k) == ref_pow(F, x, k)
         for y in range(F.q):
@@ -272,27 +272,28 @@ def test_tables_sampled_large_fields(p, e):
         assert mul[i] == F.mul(x, y) == ref_mul(F, x, y)
         assert T.neg[x] == ref_neg(F, x)
         if x:
-            assert T.inv[x] == ref_inv(F, x)
+            assert F.inv(x) == ref_inv(F, x)
 
 
 @pytest.mark.parametrize("p,e", [(2, 20), (max(n for n in range(2**20 - 99, 2**20) if is_prime(n)), 1)])
 def test_tables_build_at_the_cap(p, e):
-    # a private instance, so the ~90 MB of tables go away with the test
+    # a private instance, so the 60 MB of tables go away with the test
     F = Field(p, e, make_field(p, e).modulus)
     T = F.tables()
     units = np.arange(1, F.q)
     assert np.array_equal(np.sort(T.exp[: F.q - 1]), units)  # g generates the units
     assert np.array_equal(T.exp[T.log[units]], units)
-    assert np.array_equal(T.mul(units, T.inv[units]), np.ones(F.q - 1))
     assert not T.add(units, T.neg[units]).any()
     # tables of codes in the code dtype (uint32 above 2^16), equal to the int64 ones
-    assert T.neg.dtype == T.inv.dtype == T.narrow_exp.dtype == np.uint32
+    assert T.neg.dtype == T.narrow_exp.dtype == np.uint32
     assert np.array_equal(T.narrow_exp, T.exp)
     rng = random.Random(F.q)
     for _ in range(20):
         x, y = rng.randrange(F.q), rng.randrange(F.q)
         assert T.add(x, y) == ref_add(F, x, y)
         assert T.mul(x, y) == ref_mul(F, x, y)
+        if x:
+            assert F.inv(x) == ref_inv(F, x)
 
 
 def test_tables_spot_check_f181():
@@ -310,7 +311,7 @@ def test_tables_above_former_limit():
     assert not hasattr(field_module, "TABLE_LIMIT")
     F = make_field(4099)
     T = F.tables()
-    tables = [getattr(T, name) for name in ("log", "exp", "narrow_exp", "zech", "neg", "inv")]
+    tables = [getattr(T, name) for name in ("log", "exp", "narrow_exp", "zech", "neg")]
     assert sum(t.nbytes for t in tables if t is not None) <= 100 * F.q
     assert T.mul(4098, 4098) == 1 and T.add(4098, 1) == 0
 

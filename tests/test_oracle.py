@@ -7,7 +7,15 @@ from math import comb
 import numpy as np
 import pytest
 
-from cartcodes import BudgetExceededError, CartesianCode, Grid, _kernels, make_field, normalize_spec
+from cartcodes import (
+    BudgetExceededError,
+    CartesianCode,
+    Grid,
+    _kernels,
+    dimension_formula,
+    make_field,
+    normalize_spec,
+)
 from cartcodes import code as code_module, oracle
 from cartcodes.oracle import (
     OracleBudget,
@@ -63,10 +71,21 @@ def test_budget_exceeded_word_count():
     assert exc.value.limit == 100
 
 
-def test_budget_exceeded_points():
-    code = _full_code(3, 1, (3, 3), 1)
-    with pytest.raises(BudgetExceededError):
-        brute_rank_dimension(code, OracleBudget(max_points=4))
+def test_rank_cap_is_the_matrix_entry_count():
+    # no cap on the grid alone: {0,1}^17 has 2^17 points, and its all-monomials
+    # matrix fits MAX_RANK_ENTRIES at d = 0 and d = 1 (1 and 18 rows of 2^17)
+    grid = Grid(make_field(2), [(0, 1)] * 17)
+    assert grid.size > 1 << 16
+    report = verify_degrees(grid, [0, 1, 3], OracleBudget(max_words=2))
+    rank = {c.d: c for c in report.checks if c.name == "rank_dimension"}
+    for d in (0, 1):
+        assert rank[d].status == "pass"
+        assert rank[d].oracle == rank[d].formula == dimension_formula(grid.cards, d)
+    # at d = 3 the matrix has C(20, 3) = 1140 rows of 2^17 entries, past the cap
+    with pytest.raises(BudgetExceededError) as exc:
+        brute_rank_dimension(CartesianCode(grid, 3))
+    assert (exc.value.required, exc.value.limit) == (comb(20, 3) << 17, oracle.MAX_RANK_ENTRIES)
+    assert rank[3].status == "skipped" and rank[3].detail == str(exc.value)
 
 
 def test_rank_budget_checked_before_enumeration(monkeypatch):
@@ -122,9 +141,9 @@ def test_verify_degrees_decides_each_rank_budget_once(monkeypatch):
     calls = []
     real = oracle._rank_budget_error
 
-    def counted(grid, d, budget):
+    def counted(grid, d):
         calls.append(d)
-        return real(grid, d, budget)
+        return real(grid, d)
 
     monkeypatch.setattr(oracle, "_rank_budget_error", counted)
     report = verify_degrees(code.grid, range(5))

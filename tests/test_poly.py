@@ -68,6 +68,9 @@ def test_arithmetic_basics():
     assert (t1 * 2) * 2 == t1  # 4 = 1 in F_3
     assert 0 * t1 == MultiPoly.zero(F3, 2)
     assert (t1 * t2).total_degree == 2
+    one = MultiPoly.constant(F3, 2, 1)
+    # the cross terms -t1 and t1 cancel, and no zero term is kept
+    assert (t1 + one) * (t1 - one) == MultiPoly(F3, 2, {(2, 0): 1, (0, 0): 2})
 
 
 def test_format_and_parse_roundtrip():
