@@ -21,7 +21,7 @@ differential reference.
 
 Rank is one swap-free Gaussian elimination: in each column the pivot is the
 live row of lowest index, and the other live rows are updated from the next
-column on, with the pivot row held as logarithms.  Because no row ever moves,
+column on.  Because no row ever moves,
 the same elimination gives the rank of every row prefix M[:R]; the rank
 oracle uses this to read dim C_d at every degree d from one matrix, whose
 degree <= d monomials are its first C(n + d, n) rows.  The columns are taken
@@ -32,9 +32,12 @@ row rank therefore never touches the columns past the panel of its last
 pivot; square and tall matrices are one panel.  The pivot search jumps,
 up to SEARCH_COLS columns at a time, over the columns where every live row
 is zero, so a rank-deficient matrix does not search column by column once
-its live rows are zero.  A step with at least q hit rows scales the pivot
-row once per field element, and each hit row adds its multiplier's row of
-that table.
+its live rows are zero.  A table step costs the same few calls however many
+rows it hits: it forms the pivot row's q multiples from a q x q product
+table, and each hit row adds its multiplier's row of them, by XOR or through
+a q x q addition table.  Over fields of at most SMALL_FIELD_Q elements every
+step is a table step; over larger ones with q^2 <= CHUNK_ENTRIES a step with
+at least q hit rows is, and the others scale the pivot row once per hit row.
 
 All kernels do their field arithmetic through the field's vectorized
 FieldTables operations, so they are field-agnostic.  mul returns int64
@@ -43,8 +46,9 @@ odd prime q = p, and both return the dtype of their inputs, so narrow codes
 stay narrow; for an odd extension field add goes through the Zech table and
 returns int64 codes.  Both kernels keep their codes narrow: the scan
 converts G once, and rank eliminates the narrow codes of monomial_rows in
-place, writing every code it makes through narrow_exp; only the index
-arithmetic (sums of logarithms, table offsets) is int64.
+place, writing every code it makes from its step tables or narrow_exp; only
+the logarithm sums and table offsets of the scan and of the row-by-row
+steps are int64.
 """
 
 from __future__ import annotations
@@ -65,6 +69,12 @@ PANEL_COLS = 256
 
 # Columns ahead that the rank elimination's pivot search tests at once for a live nonzero.
 SEARCH_COLS = 64
+
+# Fields of at most this many elements take every rank step from q x q tables.
+# Larger fields with q^2 <= CHUNK_ENTRIES take only the steps with at least q hit
+# rows from them: a step over such a field that hits few rows costs less by
+# scaling the pivot row once per hit row than by forming its q multiples.
+SMALL_FIELD_Q = 32
 
 
 # ---------------------------------------------------------------------------
@@ -238,20 +248,29 @@ def _pivot_rows(M, tables) -> np.ndarray:
     panel, the search there costs one test per SEARCH_COLS columns, not one
     per column, and a column that has a pivot costs no test at all.
 
-    A step with at least q hit rows scales the pivot row once per field
-    element (a q-row table) and adds to each hit row its multiplier's row;
-    for odd p that addition is one gather from a q x q addition table.  Both
-    tables are held to CHUNK_ENTRIES entries, so large fields never build
-    them.  A step with fewer hit rows scales the pivot row once per hit row.
-    The arithmetic is exact, so both give the same entries.
+    Over a field with q^2 <= CHUNK_ENTRIES the call builds, once, a q x q
+    product table in M's dtype, the negated inverses -1/a and, for odd p, a
+    q x q addition table read at q * b + a.  The offsets q * b are held in
+    the narrowest dtype that holds q^2 - 1 and M's dtype (uint8 on uint8
+    codes up to q = 13), so they need no int64 temporaries.  A table step
+    takes the same few calls however many rows it hits: one take normalizes
+    the pivot row to -row / row[c], one take along the product table's
+    columns forms its q multiples, and each hit row adds its multiplier's row
+    of them, by XOR for p = 2 and by one gather from the addition table for
+    odd p.  Over a field of at most SMALL_FIELD_Q elements every step is a
+    table step; over a larger one only a step with at least q hit rows is,
+    as the q multiples of a wide pivot row cost more than scaling it for a
+    few rows.  The other steps, those whose q multiples would exceed
+    CHUNK_ENTRIES, and every step over a field with q^2 > CHUNK_ENTRIES
+    scale the pivot row once per hit row, through logarithms, and add it by
+    tables.add.  The arithmetic is exact, so both give the same entries.
 
-    M is updated in its own dtype.  The codes written come from narrow_exp
-    (and for odd p from the addition table, held in M's dtype), so narrow
-    codes are never widened; the logarithms and the indices into the
-    addition table are int64, as numpy would convert a narrow index array
-    to intp on every gather.  For the same reason a step without tables
-    over an odd extension field, whose Zech addition gathers logarithms at
-    both operands, passes the scaled pivot row as int64 codes from exp.
+    M is updated in its own dtype.  The codes written come from the tables
+    (held in M's dtype) or from narrow_exp, so narrow codes are never
+    widened.  A step without tables over an odd extension field, whose Zech
+    addition gathers logarithms at both operands, passes the scaled pivot
+    row as int64 codes from exp, as numpy would convert a narrow index
+    array to intp on every gather.
     """
     rows, cols = M.shape
     q = tables.q
@@ -260,29 +279,36 @@ def _pivot_rows(M, tables) -> np.ndarray:
     odd = tables.p != 2
     scale = nexp if tables.zech is None else exp  # the codes of the scaled pivot row without tables
     shift = n // 2 if odd else 0  # log(-1)
-    plus = None  # a + b = plus[q * b + a], for the table steps of odd p
-    if odd and q < rows and q * q <= CHUNK_ENTRIES:  # only q + 1 rows give q hit rows
-        codes = np.arange(q, dtype=M.dtype)
-        plus = tables.add(codes, codes[:, None]).astype(M.dtype, copy=False).ravel()
+    prod = None  # prod[a, b] = a * b, in M's dtype; None where no step takes the tables
+    if q * q <= CHUNK_ENTRIES and (q <= SMALL_FIELD_Q or q < rows):  # only q + 1 rows give q hit rows
+        prod = nexp[log[:, None] + log].astype(M.dtype, copy=False)
+        neginv = nexp[(shift - log) % n]  # -1/a (entry 0 unused)
+        multiples = prod  # row m of multiples.take(row, axis=1) is m * row
+        if odd:  # ... times q, an offset into plus: a + b = plus[q * b + a]
+            index = np.promote_types(np.min_scalar_type(q * q - 1), M.dtype)
+            codes = np.arange(q, dtype=M.dtype)
+            plus = tables.add(codes, codes[:, None]).astype(M.dtype, copy=False).ravel()
+            multiples = np.multiply(prod, q, dtype=index)
 
     def step(piv, c, hit, lo, hi):
-        # hit rows -= (M[hit, c] / M[piv, c]) * pivot row, on columns [lo, hi);
-        # log(-row / row[c]) of the pivot row, in [0, N) or the sentinel where it is 0
+        # hit rows -= (M[hit, c] / M[piv, c]) * pivot row, on columns [lo, hi)
         prow = M[piv, lo:hi]
+        chunk = max(1, CHUNK_ENTRIES // prow.size)
+        if prod is not None and (q <= SMALL_FIELD_Q or hit.size >= q) and q * prow.size <= CHUNK_ENTRIES:
+            # take, not [] gathers: numpy indexes with a narrow index array several times slower
+            scaled = multiples.take(prod[neginv[M[piv, c]]].take(prow), axis=1)
+            for s in range(0, hit.size, chunk):  # bounded temporaries
+                sel = hit[s : s + chunk]
+                if odd:
+                    M[sel, lo:hi] = plus.take(scaled.take(M[sel, c], axis=0) + M[sel, lo:hi])
+                else:
+                    M[sel, lo:hi] ^= scaled.take(M[sel, c], axis=0)
+            return
+        # log(-row / row[c]) of the pivot row, in [0, N) or the sentinel where it is 0
         lrow = log[exp[log[prow] + (shift - int(log[M[piv, c]])) % n]]
-        table = hit.size >= q and q * max(q, lrow.size) <= CHUNK_ENTRIES
-        if table:  # row m: the codes of m * lrow; for odd p, times q (an int64 index into plus)
-            scaled = exp[log[:, None] + lrow] * q if odd else nexp[log[:, None] + lrow]
-        chunk = max(1, CHUNK_ENTRIES // lrow.size)
         for s in range(0, hit.size, chunk):  # bounded temporaries
             sel = hit[s : s + chunk]
-            mult = M[sel, c]
-            if not table:
-                M[sel, lo:hi] = tables.add(M[sel, lo:hi], scale[log[mult][:, None] + lrow])
-            elif odd:
-                M[sel, lo:hi] = plus[scaled[mult] + M[sel, lo:hi]]
-            else:
-                M[sel, lo:hi] ^= scaled[mult]
+            M[sel, lo:hi] = tables.add(M[sel, lo:hi], scale[log[M[sel, c]][:, None] + lrow])
 
     live = np.arange(rows)
     pivots, steps = [], []

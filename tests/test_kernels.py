@@ -379,12 +379,26 @@ def _narrow_cases(fields):
             if np.iinfo(dt).max >= p**e - 1]
 
 
-def _eliminated_in_place(M, T, counts):
-    """rank_mod's prefix ranks of a copy of M in its own dtype, and the eliminated copy."""
+def _assert_eliminates_as_reference(M, T, name):
+    """_pivot_rows and rank_mod on M in its own dtype against the int64 right-looking
+    reference: the same pivots and prefix ranks, the same entries up to the last
+    pivot's panel, and past it the input untouched (the elimination returned)."""
+    rows, cols = M.shape
+    ref_M = M.astype(np.int64)
+    ref = ref_pivot_rows(ref_M, T)
+    got_M = M.copy()
+    got = _kernels._pivot_rows(got_M, T)
+    assert got.tolist() == ref.tolist(), name
+    counts = list(range(rows + 1))
     work = M.copy()
-    profile = _kernels.rank_mod(work, T, prefixes=counts)
-    assert work.dtype == M.dtype
-    return profile, work
+    assert _kernels.rank_mod(work, T, prefixes=counts) == np.searchsorted(ref, counts).tolist()
+    assert work.dtype == M.dtype and np.array_equal(work, got_M), name
+    end = cols
+    if ref.size == rows:
+        last = _last_pivot_column(M, T)
+        end = next(hi for lo, hi in _kernels._panels(rows, cols) if lo <= last < hi)
+    assert np.array_equal(got_M[:, :end], ref_M[:, :end]), name
+    assert np.array_equal(got_M[:, end:], M[:, end:]), name
 
 
 @pytest.mark.parametrize("panel", [1, 2, 3])
@@ -406,25 +420,7 @@ def _check_rank_panels(monkeypatch, p, e, panel, dtype):
     T = F.tables()
     rng = random.Random(400 * p + 10 * e + panel)
     for name, M in _rank_panel_cases(F, rng):
-        M = M.astype(dtype)
-        rows, cols = M.shape
-        ref_M = M.astype(np.int64)
-        ref = ref_pivot_rows(ref_M, T)
-        got_M = M.copy()
-        got = _kernels._pivot_rows(got_M, T)
-        assert got.tolist() == ref.tolist(), name
-        counts = list(range(rows + 1))
-        profile, work = _eliminated_in_place(M, T, counts)
-        assert profile == np.searchsorted(ref, counts).tolist()
-        assert np.array_equal(work, got_M), name
-        # every panel up to the last pivot's is eliminated exactly as the reference
-        # does it; past it, the elimination returned and the input is untouched
-        end = cols
-        if ref.size == rows:
-            last = _last_pivot_column(M, T)
-            end = next(hi for lo, hi in _kernels._panels(rows, cols) if lo <= last < hi)
-        assert np.array_equal(got_M[:, :end], ref_M[:, :end]), name
-        assert np.array_equal(got_M[:, end:], M[:, end:]), name
+        _assert_eliminates_as_reference(M.astype(dtype), T, name)
 
 
 @pytest.mark.parametrize("p,e", RANK_PANEL_FIELDS)
@@ -463,7 +459,10 @@ def test_rank_panel_schedule():
         assert len(bounds) <= 2 + math.log(cols / bounds[0][1], 4)
 
 
-# -- multiplier tables: a step with at least q hit rows adds rows of a q-row table --
+# -- step tables: over fields with q^2 <= CHUNK_ENTRIES a table step takes and gathers
+# from q x q tables, on every step of a field of at most SMALL_FIELD_Q elements and on
+# the steps with at least q hit rows of a larger one; the other steps add row by row
+# through tables.add --
 
 RANK_TABLE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 11), (131, 1), (251, 1)]
 
@@ -480,25 +479,62 @@ def _combined_rows(F, rows, rank, cols, rng):
 
 
 def _rank_table_cases(F, rng):
-    """(name, matrix, every step has >= q hit rows) for one field.
+    """(name, matrix) pairs for one field.
 
-    Sizes follow min(q, 9), so over F_2^11, F_131 and F_251 the same shapes
-    are far below q rows and never reach the table: every step adds by
-    tables.add, for the primes by modular sum.  Tall and low-rank matrices
-    keep at least q live rows nonzero in every pivot column; the wide
-    low-rank ones span several panels, so their replays take the table too.
+    Sizes follow min(q, 9), so over F_2^11, F_131 and F_251 every step hits
+    far fewer than q rows.  Tall and low-rank matrices keep many live rows
+    nonzero in every pivot column; the wide low-rank ones span several
+    panels, so their replays step too.
     """
     s = min(F.q, 9)
     rows = 6 * s + 8
     return [
-        ("tall", _random_rows(F, rows, 8, rng), True),
-        ("wide low rank", _combined_rows(F, rows, 5, 6 * rows, rng), True),
+        ("tall", _random_rows(F, rows, 8, rng)),
+        ("wide low rank", _combined_rows(F, rows, 5, 6 * rows, rng)),
         ("wide low rank, zero first panel", np.hstack(
             [np.zeros((rows, 2 * rows), dtype=np.int64), _combined_rows(F, rows, 4, 3 * rows, rng)]
-        ), True),
-        ("square", _random_rows(F, 3 * s + 3, 3 * s + 3, rng), False),
-        ("wide full rank", _full_rank_rows(F, 2 * s + 2, 9 * (2 * s + 2), rng), False),
+        )),
+        ("square", _random_rows(F, 3 * s + 3, 3 * s + 3, rng)),
+        ("wide full rank", _full_rank_rows(F, 2 * s + 2, 9 * (2 * s + 2), rng)),
     ]
+
+
+def _count_row_updates(monkeypatch, T):
+    """The list that records the shape of every row block M[sel, lo:hi] that a step
+    adds to through tables.add (a 2-D first operand), as it happens."""
+    updates = []
+    real_add = type(T).add
+
+    def counted_add(self, a, b):
+        if np.ndim(a) == 2:
+            updates.append(np.shape(a))
+        return real_add(self, a, b)
+
+    monkeypatch.setattr(type(T), "add", counted_add)
+    return updates
+
+
+def _row_by_row_updates(updates, M, T):
+    """The row blocks that _pivot_rows adds to through tables.add while it eliminates M."""
+    updates.clear()
+    _kernels._pivot_rows(M.copy(), T)
+    return list(updates)
+
+
+def _assert_step_policy(F, M, untabled, name):
+    """A field of at most SMALL_FIELD_Q elements adds row by row only on steps whose q
+    multiples would exceed CHUNK_ENTRIES.  A larger one with q^2 <= CHUNK_ENTRIES adds
+    row by row only on steps with fewer than q hit rows and on those wide steps, which go
+    CHUNK_ENTRIES // width < q rows at a time: every block has fewer than q rows.  Over
+    any larger field a matrix of at most q rows adds row by row on every step."""
+    q = F.q
+    if q <= _kernels.SMALL_FIELD_Q:
+        assert all(q * width > _kernels.CHUNK_ENTRIES for _, width in untabled), (name, untabled)
+        return
+    if q * q <= _kernels.CHUNK_ENTRIES:
+        assert all(rows < q for rows, _ in untabled), (name, untabled)
+    if M.shape[0] <= q:
+        assert untabled, name
 
 
 @pytest.mark.parametrize("chunk", ["default", "q rows"])
@@ -520,43 +556,70 @@ def _check_rank_table_steps(monkeypatch, p, e, panel, chunk, dtype):
     monkeypatch.setattr(_kernels, "PANEL_COLS", panel)
     F = make_field(p, e)
     T = F.tables()
-    updates = []  # row updates through tables.add: the steps that do not take the table
-    real_add = type(T).add
-
-    def counted_add(self, a, b):
-        if np.ndim(a) == 2:
-            updates.append(np.shape(a))
-        return real_add(self, a, b)
-
-    monkeypatch.setattr(type(T), "add", counted_add)
+    updates = _count_row_updates(monkeypatch, T)
     rng = random.Random(600 * p + 10 * e + panel)
-    for name, M, every_step_tabled in _rank_table_cases(F, rng):
+    for name, M in _rank_table_cases(F, rng):
         M = M.astype(dtype)
-        rows, cols = M.shape
-        if chunk == "q rows":  # the table still fits, but the hit rows go q at a time
-            monkeypatch.setattr(_kernels, "CHUNK_ENTRIES", F.q * max(F.q, cols))
-        ref_M = M.astype(np.int64)
-        ref = ref_pivot_rows(ref_M, T)
-        got_M = M.copy()
-        updates.clear()
-        got = _kernels._pivot_rows(got_M, T)
-        untabled = list(updates)
-        assert got.tolist() == ref.tolist(), name
-        counts = list(range(rows + 1))
-        profile, work = _eliminated_in_place(M, T, counts)
-        assert profile == np.searchsorted(ref, counts).tolist()
-        assert np.array_equal(work, got_M), name
-        # the same entries as the reference up to the last pivot's panel, the input past it
-        end = cols
-        if ref.size == rows:
-            last = _last_pivot_column(M, T)
-            end = next(hi for lo, hi in _kernels._panels(rows, cols) if lo <= last < hi)
-        assert np.array_equal(got_M[:, :end], ref_M[:, :end]), name
-        assert np.array_equal(got_M[:, end:], M[:, end:]), name
-        if F.q > rows:  # F_2^11, F_131, F_251: no step has q hit rows, every update adds row by row
-            assert untabled, name
-        elif every_step_tabled:
-            assert not untabled, (name, untabled)
+        if chunk == "q rows":  # every step's q multiples fit, but the hit rows go q at a time
+            monkeypatch.setattr(_kernels, "CHUNK_ENTRIES", F.q * max(F.q, M.shape[1]))
+        _assert_eliminates_as_reference(M, T, name)
+        untabled = _row_by_row_updates(updates, M, T)
+        _assert_step_policy(F, M, untabled, name)  # F_2^11, F_131, F_251: every step row by row
+
+
+# The edges of the step tables, each side of each bound:
+# - the odd-p sum index on uint8 codes goes from uint8 (q^2 - 1 = 168 at F_13) to
+#   uint16 (288 at F_17);
+# - F_31, F_32 and F_3^3 are the last fields that take every step from the tables,
+#   F_37, F_64 and F_7^2 the first that take only steps with q hit rows;
+# - F_181, F_128 and F_13^2 are the last fields with q x q tables, F_191, F_256 and
+#   F_3^5 the first without;
+# - the "few hit rows" case has more than q rows, so every field with q^2 <=
+#   CHUNK_ENTRIES builds its tables, but only 4 nonzero ones, so every step hits
+#   fewer than q rows; F_7 is one more small field whose steps take the tables.
+STEP_TABLE_EDGES = [
+    (13, 1), (17, 1),
+    (31, 1), (37, 1), (2, 5), (2, 6), (3, 3), (7, 2),
+    (181, 1), (191, 1), (2, 7), (2, 8), (13, 2), (3, 5),
+    (7, 1),
+]
+
+
+@pytest.mark.parametrize("dtype", ["uint8", "uint16", "int32", "int64"])
+@pytest.mark.parametrize("p,e", STEP_TABLE_EDGES)
+def test_rank_step_table_edges(monkeypatch, p, e, dtype):
+    F = make_field(p, e)
+    T = F.tables()
+    q = F.q
+    assert (q <= _kernels.SMALL_FIELD_Q) == (q in (7, 13, 17, 27, 31, 32))
+    assert (q * q <= _kernels.CHUNK_ENTRIES) == (q not in (191, 243, 256))
+    updates = _count_row_updates(monkeypatch, T)
+    rng = random.Random(900 * p + e)
+    wide = _combined_rows(F, 12, 5, 300, rng)  # two panels; first-panel steps ~250 columns
+    cases = [
+        ("square", _random_rows(F, 24, 24, rng)),
+        ("tall", _random_rows(F, 40, 10, rng)),
+        ("wide low rank", wide),
+        ("few hit rows", np.vstack([_random_rows(F, 4, 30, rng), np.zeros((q + 16, 30), int)])),
+        ("q hit rows", _random_rows(F, q + 20, 6, rng)),  # every step hits at least q rows
+    ]
+    for name, M in cases:
+        M = M.astype(dtype)
+        _assert_eliminates_as_reference(M, T, name)
+        untabled = _row_by_row_updates(updates, M, T)
+        _assert_step_policy(F, M, untabled, name)
+        if name == "few hit rows":
+            assert bool(untabled) == (q > _kernels.SMALL_FIELD_Q), name
+        if name == "q hit rows":
+            assert bool(untabled) == (q * q > _kernels.CHUNK_ENTRIES), (name, untabled)
+    # a first-panel step's q multiples pass CHUNK_ENTRIES = 100 q, so even over the
+    # small fields it adds row by row
+    monkeypatch.setattr(_kernels, "CHUNK_ENTRIES", 100 * q)
+    M = wide.astype(dtype)
+    _assert_eliminates_as_reference(M, T, "wide, narrow chunks")
+    untabled = _row_by_row_updates(updates, M, T)
+    _assert_step_policy(F, M, untabled, "wide, narrow chunks")
+    assert untabled
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (3, 2), (2, 11)])
