@@ -7,7 +7,7 @@ multiplied by a nonzero scalar, so only messages whose last nonzero digit is
 no field arithmetic: the weight of word r of the block plus a high part h is
 the number of coordinates c where WT[c, r] differs from -h[c].  The block WT
 of the first j rows' q^j words is coordinate-major (one row per coordinate)
-in the narrowest unsigned code dtype (uint8 up to q = 256), and the
+in the field's code dtype, tables.code (uint8 up to q = 256), and the
 mismatches are summed a coordinate at a time in the narrowest dtype that
 holds L, so each step streams L * q^j narrow codes, not int64 ones.  One
 bound sizes the block: j is the most rows whose q^j * L codes stay within
@@ -40,15 +40,13 @@ step is a table step; over larger ones with q^2 <= CHUNK_ENTRIES a step with
 at least q hit rows is, and the others scale the pivot row once per hit row.
 
 All kernels do their field arithmetic through the field's vectorized
-FieldTables operations, so they are field-agnostic.  mul returns int64
-codes.  add is the XOR of the codes for p = 2 and their modular sum for an
-odd prime q = p, and both return the dtype of their inputs, so narrow codes
-stay narrow; for an odd extension field add goes through the Zech table and
-returns int64 codes.  Both kernels keep their codes narrow: the scan
-converts G once, and rank eliminates the narrow codes of monomial_rows in
-place, writing every code it makes from its step tables or narrow_exp; only
-the logarithm sums and table offsets of the scan and of the row-by-row
-steps are int64.
+FieldTables operations, so they are field-agnostic.  Those return codes in
+the field's code dtype, tables.code, for codes in it, so both kernels keep
+their codes narrow: the scan converts G once, and rank eliminates the
+codes of monomial_rows in place; only the logarithm sums and table offsets
+of the scan and of the row-by-row steps are int64.  numpy's [] gathers by
+a narrow index array several times slower than take, so the row-by-row
+steps and the Zech add gather by take at arrays of codes.
 """
 
 from __future__ import annotations
@@ -95,41 +93,44 @@ def scan_min_weight(G, tables) -> int:
     # t < j) plus, for t >= j, an odometer over the high digits below t.
     q = tables.q
     # G, the block WT (coordinate-major, L x q^j), the scaled rows and the high
-    # part are codes in the narrowest code dtype; weights are summed a
-    # coordinate at a time in the narrowest dtype that holds L.
-    code = np.min_scalar_type(q - 1)
-    G = np.ascontiguousarray(G, dtype=code)
+    # part are codes in tables.code, which every table operation returns for
+    # it; weights are summed a coordinate at a time in the narrowest dtype that
+    # holds L.
+    G = np.ascontiguousarray(G, dtype=tables.code)
     K, L = G.shape
     j = min(K, 1)  # the block's rows: the most with q^j * L <= SCAN_BLOCK_ENTRIES codes, at least one
     while j < K and q ** (j + 1) * L <= SCAN_BLOCK_ENTRIES:
         j += 1
     count = np.min_scalar_type(L)
-    log, neg, nexp = tables.log, tables.neg, tables.narrow_exp
+    log, neg, exp = tables.log, tables.neg, tables.exp
     best = L + 1
+    ne = None  # a step's mismatches: a new array while the block grows, then one buffer
 
     def scan(nh):
         # weight(WT[:, r] + h) = #{c : WT[c, r] != nh[c]}, for nh = -h
         nonlocal best
         # the mismatches read as 0/1 bytes, so a uint8 count sums them without a cast
-        weights = np.add.reduce((WT != nh[:, None]).view(np.uint8), axis=0, dtype=count)
+        mism = np.not_equal(WT, nh[:, None], out=ne).view(np.uint8)
+        weights = np.add.reduce(mism, axis=0, dtype=count)
         w = int(weights.min())
         if w == 0:  # zero words (from dependent rows) have no weight
             nz = weights[weights > 0]
             w = int(nz.min()) if nz.size else best
         best = min(best, w)
 
-    WT = np.zeros((L, 1), dtype=code)
+    WT = np.zeros((L, 1), dtype=tables.code)
     for t in range(j):
         scan(neg[G[t]])
         if t < K - 1:  # the block of all j rows is needed only when high rows follow
             # the words WT[:, r] + m * G[t] in any order, as the block is scanned whole:
             # m-major, so each coordinate's sums run along the words of WT
-            grown = np.empty((L, q, WT.shape[1]), dtype=code)
+            grown = np.empty((L, q, WT.shape[1]), dtype=tables.code)
             rows = max(1, CHUNK_ENTRIES // grown[0].size)  # coordinates per slice
             for c in range(0, L, rows):  # bounded temporaries
-                scaled = nexp[log[G[t, c : c + rows, None]] + log]  # G[t, c] * m for every code m
+                scaled = exp[log[G[t, c : c + rows, None]] + log]  # G[t, c] * m for every code m
                 grown[c : c + rows] = tables.add(WT[c : c + rows, None, :], scaled[:, :, None])
             WT = grown.reshape(L, -1)
+    ne = np.empty(WT.shape, dtype=bool)
     # The odometer carries the negated high part -h.  Moving digit i from c to
     # c + 1 (mod q) adds delta[c] * G[j + i] to h, so -delta[c] * G[j + i] to -h.
     codes = np.arange(q, dtype=np.int64)
@@ -142,11 +143,10 @@ def scan_min_weight(G, tables) -> int:
             if n > 0:
                 i = 0
                 while msg[i] == q - 1:
-                    nh = tables.add(nh, nexp[lhigh[i] + lminus[q - 1]])
+                    nh = tables.add(nh, exp[lhigh[i] + lminus[q - 1]])
                     msg[i] = 0
                     i += 1
-                # narrowed again where the add returns int64 (Zech), so the scan compares narrow codes
-                nh = tables.add(nh, nexp[lhigh[i] + lminus[msg[i]]]).astype(code, copy=False)
+                nh = tables.add(nh, exp[lhigh[i] + lminus[msg[i]]])
                 msg[i] += 1
             scan(nh)
     return best
@@ -193,14 +193,13 @@ def rank_mod(M, tables, *, prefixes=None):
     eliminated in place, in its own dtype, so a caller that needs the matrix
     afterwards passes a copy.  Anything else (a read-only array such as a
     cached generator matrix, a list, a float or too narrow dtype) is copied
-    once into the narrowest code dtype, np.min_scalar_type(q - 1), and is
-    never written.  The elimination stops once every row is a pivot, so the
-    columns past the panel of the last pivot may be left unreduced.
+    once into the code dtype tables.code and is never written.  The
+    elimination stops once every row is a pivot, so the columns past the
+    panel of the last pivot may be left unreduced.
     """
-    code = np.min_scalar_type(tables.q - 1)
     M = np.asarray(M)
-    if not (M.flags.writeable and np.can_cast(code, M.dtype) and np.can_cast(M.dtype, np.int64)):
-        M = M.astype(code)
+    if not (M.flags.writeable and np.can_cast(tables.code, M.dtype) and np.can_cast(M.dtype, np.int64)):
+        M = M.astype(tables.code)
     pivots = _pivot_rows(M, tables) if M.size else np.zeros(0, dtype=np.int64)
     if prefixes is None:
         return int(pivots.size)
@@ -265,24 +264,20 @@ def _pivot_rows(M, tables) -> np.ndarray:
     scale the pivot row once per hit row, through logarithms, and add it by
     tables.add.  The arithmetic is exact, so both give the same entries.
 
-    M is updated in its own dtype.  The codes written come from the tables
-    (held in M's dtype) or from narrow_exp, so narrow codes are never
-    widened.  A step without tables over an odd extension field, whose Zech
-    addition gathers logarithms at both operands, passes the scaled pivot
-    row as int64 codes from exp, as numpy would convert a narrow index
-    array to intp on every gather.
+    M is updated in its own dtype.  The codes written come from the step
+    tables (held in M's dtype) or from tables.exp and tables.add, which
+    give codes in tables.code, so narrow codes are never widened.
     """
     rows, cols = M.shape
     q = tables.q
     n = q - 1
-    log, exp, nexp = tables.log, tables.exp, tables.narrow_exp
+    log, exp = tables.log, tables.exp
     odd = tables.p != 2
-    scale = nexp if tables.zech is None else exp  # the codes of the scaled pivot row without tables
     shift = n // 2 if odd else 0  # log(-1)
     prod = None  # prod[a, b] = a * b, in M's dtype; None where no step takes the tables
     if q * q <= CHUNK_ENTRIES and (q <= SMALL_FIELD_Q or q < rows):  # only q + 1 rows give q hit rows
-        prod = nexp[log[:, None] + log].astype(M.dtype, copy=False)
-        neginv = nexp[(shift - log) % n]  # -1/a (entry 0 unused)
+        prod = exp[log[:, None] + log].astype(M.dtype, copy=False)
+        neginv = exp[(shift - log) % n]  # -1/a (entry 0 unused)
         multiples = prod  # row m of multiples.take(row, axis=1) is m * row
         if odd:  # ... times q, an offset into plus: a + b = plus[q * b + a]
             index = np.promote_types(np.min_scalar_type(q * q - 1), M.dtype)
@@ -305,10 +300,10 @@ def _pivot_rows(M, tables) -> np.ndarray:
                     M[sel, lo:hi] ^= scaled.take(M[sel, c], axis=0)
             return
         # log(-row / row[c]) of the pivot row, in [0, N) or the sentinel where it is 0
-        lrow = log[exp[log[prow] + (shift - int(log[M[piv, c]])) % n]]
+        lrow = log.take(exp[log.take(prow) + (shift - int(log[M[piv, c]])) % n])
         for s in range(0, hit.size, chunk):  # bounded temporaries
             sel = hit[s : s + chunk]
-            M[sel, lo:hi] = tables.add(M[sel, lo:hi], scale[log[M[sel, c]][:, None] + lrow])
+            M[sel, lo:hi] = tables.add(M[sel, lo:hi], exp[log.take(M[sel, c])[:, None] + lrow])
 
     live = np.arange(rows)
     pivots, steps = [], []

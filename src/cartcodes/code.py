@@ -243,11 +243,12 @@ def matrix_text(q: int, shape, blocks):
     The header is 'q n_rows n_cols'; each row is a line of decimal codes
     separated by spaces.  `blocks` are consecutive blocks of whole rows of
     digit_items(q) items, such as poly.monomial_blocks gathers straight from
-    the grid, each a new array that this writer then owns: the last space
-    of each row becomes a newline, and the block's buffer is yielded as it
-    is when every code has one digit, or as bytes with the NUL padding
-    deleted.  So a writer that consumes the output as it is made holds one
-    block of rows and its text, never the whole matrix or the whole text.
+    the grid into one reused buffer, and this writer overwrites them in
+    place: the last space of each row becomes a newline, and the block's
+    buffer is yielded as it is when every code has one digit, or as bytes
+    with the NUL padding deleted.  So a writer that consumes the output as
+    it is made holds one block of rows and its text, never the whole matrix
+    or the whole text.
     """
     rows, cols = shape
     yield f"{q} {rows} {cols}\n".encode("ascii")
@@ -265,8 +266,8 @@ def legend_text(monomials) -> str:
 class GeneratorMatrix:
     """Rows: footprint monomial evaluations (ascending grevlex); columns: grid points.
 
-    `array` holds the codes in the narrowest unsigned dtype that holds q - 1
-    (see poly.monomial_rows); the copy cached by CartesianCode is read-only.
+    `array` holds the codes in the field's code dtype, FieldTables.code (see
+    poly.monomial_rows); the copy cached by CartesianCode is read-only.
     """
 
     __slots__ = ("grid", "d", "monomials", "array")
@@ -386,7 +387,7 @@ def encode(matrix: GeneratorMatrix, message) -> np.ndarray:
     if len(msg) != matrix.rows:
         raise LengthMismatchError(f"message length {len(msg)} != {matrix.rows} rows")
     T = F.tables()
-    word = np.zeros(matrix.cols, dtype=np.int64)
+    word = np.zeros(matrix.cols, dtype=T.code)
     for i, m in enumerate(msg):
         if m:
             word = T.add(word, T.mul(m, matrix.array[i]))
@@ -412,8 +413,8 @@ def extremal_codeword(code: CartesianCode):
     k, ell = decompose_k_ell(grid.cards, code.d)
     F = grid.field
     T = F.tables()
-    terms = np.ones((), dtype=np.int64)  # terms[a_1, ..., a_i]: coefficient of t^a
-    vec = np.ones(1, dtype=np.int64)
+    terms = np.ones((), dtype=T.code)  # terms[a_1, ..., a_i]: coefficient of t^a
+    vec = np.ones(1, dtype=T.code)
     for i, s in enumerate(grid.sets[: k + 1]):
         count = grid.cards[i] - 1 if i < k else ell
         coeffs = _monic_root_product(T, s[:count])  # prod (t - c) = (-1)^count prod (c - t)

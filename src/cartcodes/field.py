@@ -14,7 +14,10 @@ square-and-multiply, test a batch of candidates for the primitive element
 at once and give the generators of the cyclic subgroups, so neither needs
 the tables.
 Addition reads the tables only over odd extension fields: in characteristic
-2 it is the XOR of the codes, and over an odd prime their sum mod p.
+2 it is the XOR of the codes, and over an odd prime their sum mod p.  The
+tables fix one dtype for codes, FieldTables.code, the narrowest unsigned
+dtype that holds q - 1, and every vectorized operation on codes in it
+returns codes in it.
 """
 
 from __future__ import annotations
@@ -159,16 +162,15 @@ class FieldTables:
     the codes are the residues, and a + b is the modular sum
     (a + b) - p * [a + b >= p], taken in modsum, the least dtype that holds
     2(p - 1).  The operations broadcast like numpy ufuncs and take scalars
-    as well as arrays.  log, exp and zech hold int64, so sums of logs and the
-    codes that mul and the zech add return are int64.
-    XOR and the modular sum return the dtype that numpy promotes their
-    inputs' dtypes to (a Python int counts as int64), so narrow codes in give
-    narrow codes out.  neg and narrow_exp (a copy of exp for gathers that
-    write narrow codes) hold codes only, in the narrowest unsigned dtype that
-    holds one (uint8 up to q = 256).
+    as well as arrays.  log and zech hold int64 logarithms.  exp and neg
+    hold codes in code, the narrowest unsigned dtype that holds q - 1 (uint8
+    up to q = 256), so mul and the zech add return codes in code; XOR and
+    the modular sum return the dtype that numpy promotes their inputs'
+    dtypes to (a Python int counts as int64).  So every operation on codes
+    in code returns codes in code.
     """
 
-    __slots__ = ("q", "p", "sentinel", "log", "exp", "narrow_exp", "zech", "neg", "modsum")
+    __slots__ = ("q", "p", "sentinel", "code", "log", "exp", "zech", "neg", "modsum")
 
     def __init__(self, field: "Field"):
         q, p = field.q, field.p
@@ -178,7 +180,8 @@ class FieldTables:
         log = np.empty(q, dtype=np.int64)
         log[powers] = np.arange(n, dtype=np.int64)
         log[0] = z
-        exp = np.zeros(2 * z + 1, dtype=np.int64)
+        code = np.min_scalar_type(n)  # codes are below q, so narrowing them is exact
+        exp = np.zeros(2 * z + 1, dtype=code)
         exp[:n] = powers
         exp[n:z] = powers[: n - 1]
         zech = None  # characteristic 2 adds by XOR, an odd prime by modular sum
@@ -190,11 +193,9 @@ class FieldTables:
             zech[:n] = np.arange(-z, -n + 1)
             zech[n:z] = zech_units[1:]
             zech[z : z + n] = zech_units
-        code = np.min_scalar_type(n)  # codes are below q, so narrowing them is exact
-        self.q, self.p, self.sentinel = q, p, z
+        self.q, self.p, self.sentinel, self.code = q, p, z, code
         self.log, self.exp, self.zech = log, exp, zech
-        self.narrow_exp = exp.astype(code)
-        self.neg = exp[log + (0 if p == 2 else n // 2)].astype(code)  # -1 = g^(N/2) for odd p
+        self.neg = exp[log + (0 if p == 2 else n // 2)]  # -1 = g^(N/2) for odd p
         self.modsum = np.min_scalar_type(2 * n) if p != 2 and q == p else None
 
     def mul(self, a, b):
@@ -217,9 +218,11 @@ class FieldTables:
             r = np.subtract(s, self.p, dtype=s.dtype)
             r = np.minimum(s, r, out=r if r.ndim else None)
             return r.view(wide).astype(code, copy=False)
-        log = self.log
-        la = log[a]
-        k = log[b] - la
+        # take, not []: numpy gathers by a narrow index array several times slower,
+        # but [] reads one entry at a Python int several times faster
+        get = self.log.__getitem__ if type(a) is int and type(b) is int else self.log.take
+        la = get(a)
+        k = get(b) - la
         k += self.sentinel
         k = self.zech[k]
         k += la

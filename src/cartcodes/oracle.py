@@ -163,7 +163,7 @@ def _exponent_caps(sets, T, dmax: int) -> list[int]:
     """
     caps = []
     for s in sets:
-        x = np.array(s, dtype=np.int64)
+        x = np.array(s, dtype=T.code)
         power, seen = np.ones_like(x), set()
         key = power.tobytes()
         while len(seen) <= dmax and key not in seen:

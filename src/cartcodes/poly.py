@@ -341,11 +341,13 @@ def row_blocks(rows: int, cols: int) -> list[slice]:
 def monomial_blocks(grid: Grid, exps_list, items=None, out=None):
     """Yield the rows of monomial_rows(grid, exps_list) a block at a time.
 
-    The blocks are the row_blocks slices in order, each a new array, or
-    out[rows] when `out` is given.  With `items`, an array indexed by code,
-    a block holds items[code] in place of each code: the matrix command
-    passes the writer's decimal text items (code.digit_items), so it never
-    holds the whole matrix, and each block is gathered straight into text.
+    The blocks are the row_blocks slices in order: out[rows] when `out` is
+    given, and otherwise rows of one buffer that every block reuses, so a
+    caller without `out` must be done with a block when it asks for the
+    next.  With `items`, an array indexed by code, a block holds items[code]
+    in place of each code: the matrix command passes the writer's decimal
+    text items (code.digit_items), so it never holds the whole matrix, and
+    each block is gathered straight into text.
 
     A row is the Kronecker product of the power vectors A_i^(a_i), so a
     block is built one coordinate at a time.  The first coordinate's powers
@@ -363,7 +365,7 @@ def monomial_blocks(grid: Grid, exps_list, items=None, out=None):
     if rows == 0:
         return
     T = grid.field.tables()
-    log, nexp = T.log, T.narrow_exp
+    log, exp = T.log, T.exp
     exps = np.fromiter(itertools.chain.from_iterable(exps_list), dtype=np.int64).reshape(rows, n)
     logs = [log.take(s) for s in grid.sets]
 
@@ -380,16 +382,17 @@ def monomial_blocks(grid: Grid, exps_list, items=None, out=None):
         vals = sorted({a[i] for a in exps_list}) if i and TABLE_READS * q * card <= reads else ()
         size = len(vals) * q * card
         if vals and size <= BLOCK_ENTRIES and TABLE_READS * size <= reads:
-            tab = nexp[log_powers(i, np.array(vals))[:, None, :] + log[:, None]]
+            tab = exp[log_powers(i, np.array(vals))[:, None, :] + log[:, None]]
             tab = items[tab] if i == n - 1 and items is not None else tab
             tables[i] = (tab.reshape(-1, card), np.searchsorted(vals, exps[:, i : i + 1]) * q)
     blocks = row_blocks(rows, grid.size)
-    last = nexp if items is None else items  # what the last gather reads
-    # the log sums of the last coordinate go to one array that every block reuses
+    last = exp if items is None else items  # what the last gather reads
+    # the blocks, and the log sums of the last coordinate, go to arrays that every block reuses
+    buf = np.empty((min(rows, blocks[0].stop), grid.size), last.dtype) if out is None else None
     work = np.empty(min(rows, blocks[0].stop) * grid.size if n > 1 and tables[-1] is None else 0, np.int64)
     for b in blocks:
         e = exps[b]
-        block = np.empty((len(e), grid.size), last.dtype) if out is None else out[b]
+        block = buf[: len(e)] if out is None else out[b]
         codes, lsum = None, log_powers(0, e[:, 0])  # the partial rows: codes, or log sums
         for i in range(1, n):
             if tables[i] is None:
@@ -397,15 +400,15 @@ def monomial_blocks(grid: Grid, exps_list, items=None, out=None):
                 part = lsum if codes is None else log[codes]
                 sums = work[: block.size].reshape(len(e), -1, step.shape[1]) if i == n - 1 else None
                 lsum = np.add(part[:, :, None], step[:, None, :], out=sums).reshape(len(e), -1)
-                codes = nexp.take(lsum, mode="clip") if i < n - 1 else None
+                codes = exp.take(lsum, mode="clip") if i < n - 1 else None
             else:
-                codes = nexp.take(lsum, mode="clip") if codes is None else codes
+                codes = exp.take(lsum, mode="clip") if codes is None else codes
                 dest = block.reshape(len(e), codes.shape[1], -1) if i == n - 1 else None
                 codes = tables[i][0].take(tables[i][1][b] + codes, axis=0, out=dest, mode="clip")
                 codes = codes.reshape(len(e), -1)
         if codes is None:  # one coordinate, or the last multiplied through the log tables
             if items is not None:
-                lsum = nexp.take(lsum, mode="clip")
+                lsum = exp.take(lsum, mode="clip")
             last.take(lsum, out=block.reshape(lsum.shape), mode="clip")
         yield block
 
@@ -415,14 +418,12 @@ def monomial_rows(grid: Grid, exps_list) -> np.ndarray:
 
     Columns follow grid.points() order.  The rows are evaluated a block of
     about BLOCK_ENTRIES codes at a time (monomial_blocks), and each block's
-    last gather writes into them.  They are in the narrowest unsigned dtype
-    that holds a code, np.min_scalar_type(q - 1) (uint8 up to q = 256),
-    gathered from FieldTables.narrow_exp, so a call's fixed cost does not
-    grow with q.  The rank oracle eliminates the rows in place
-    (_kernels.rank_mod); callers that do other table arithmetic in place
-    convert a copy.
+    last gather writes into them.  They are codes in the field's code dtype,
+    FieldTables.code (uint8 up to q = 256), gathered from FieldTables.exp,
+    so a call's fixed cost does not grow with q.  The rank oracle eliminates
+    the rows in place (_kernels.rank_mod).
     """
-    arr = np.empty((len(exps_list), grid.size), dtype=np.min_scalar_type(grid.field.q - 1))
+    arr = np.empty((len(exps_list), grid.size), dtype=grid.field.tables().code)
     for _ in monomial_blocks(grid, exps_list, out=arr):
         pass
     return arr
@@ -434,12 +435,10 @@ def evaluate_on_grid(f: MultiPoly, grid: Grid) -> np.ndarray:
         raise FieldMismatchError("polynomial and grid fields differ")
     if f.n != grid.n:
         raise ArityMismatchError(f"polynomial has {f.n} variables, grid has {grid.n}")
-    if not f.terms:
-        return np.zeros(grid.size, dtype=np.int64)
     T = grid.field.tables()
+    acc = np.zeros(grid.size, dtype=T.code)
     exps_list = list(f.terms)
     rows = monomial_rows(grid, exps_list)
-    acc = np.zeros(grid.size, dtype=np.int64)
     for r, exps in enumerate(exps_list):
         acc = T.add(acc, T.mul(f.terms[exps], rows[r]))
     return acc

@@ -6,14 +6,21 @@ import numpy as np
 import pytest
 
 from cartcodes import (
+    CartesianCode,
     Field,
     FieldMismatchError,
+    Grid,
     InvalidFieldCapError,
+    MultiPoly,
     NotADivisorError,
     NotPrimeError,
     TooLargeError,
+    encode,
+    evaluate_on_grid,
+    extremal_codeword,
     make_field,
 )
+from cartcodes import _kernels, poly
 from cartcodes import field as field_module
 from cartcodes.field import _smallest_irreducible, factorize, is_prime
 from helpers import ref_add, ref_inv, ref_mul, ref_neg, ref_pow, ref_primitive_element
@@ -277,16 +284,17 @@ def test_tables_sampled_large_fields(p, e):
 
 @pytest.mark.parametrize("p,e", [(2, 20), (max(n for n in range(2**20 - 99, 2**20) if is_prime(n)), 1)])
 def test_tables_build_at_the_cap(p, e):
-    # a private instance, so the 60 MB of tables go away with the test
+    # a private instance, so the 28 MiB of tables go away with the test
     F = Field(p, e, make_field(p, e).modulus)
     T = F.tables()
     units = np.arange(1, F.q)
     assert np.array_equal(np.sort(T.exp[: F.q - 1]), units)  # g generates the units
     assert np.array_equal(T.exp[T.log[units]], units)
     assert not T.add(units, T.neg[units]).any()
-    # tables of codes in the code dtype (uint32 above 2^16), equal to the int64 ones
-    assert T.neg.dtype == T.narrow_exp.dtype == np.uint32
-    assert np.array_equal(T.narrow_exp, T.exp)
+    # tables of codes in the code dtype (uint32 above 2^16): exp repeats the units, then 0
+    assert T.neg.dtype == T.exp.dtype == T.code == np.uint32
+    assert np.array_equal(T.exp[F.q - 1 : T.sentinel], T.exp[: F.q - 2])
+    assert not T.exp[T.sentinel :].any()
     rng = random.Random(F.q)
     for _ in range(20):
         x, y = rng.randrange(F.q), rng.randrange(F.q)
@@ -311,9 +319,46 @@ def test_tables_above_former_limit():
     assert not hasattr(field_module, "TABLE_LIMIT")
     F = make_field(4099)
     T = F.tables()
-    tables = [getattr(T, name) for name in ("log", "exp", "narrow_exp", "zech", "neg")]
-    assert sum(t.nbytes for t in tables if t is not None) <= 100 * F.q
+    tables = [getattr(T, name) for name in ("log", "exp", "zech", "neg")]
+    # int64 logs and uint16 codes take 18 bytes per element; an int64 exp would take 42
+    assert sum(t.nbytes for t in tables if t is not None) <= 24 * F.q
     assert T.mul(4098, 4098) == 1 and T.add(4098, 1) == 0
+
+
+@pytest.mark.parametrize(
+    "p,e,code",
+    [(2, 3, np.uint8), (7, 1, np.uint8), (257, 1, np.uint16), (3, 2, np.uint8), (3, 6, np.uint16)],
+)
+def test_code_dtype_in_code_dtype_out(monkeypatch, p, e, code):
+    # XOR (F_2^3), the modular sum (F_7, F_257) and the Zech add (F_9, F_3^6):
+    # code-dtype codes in give code-dtype codes out, and every matrix, word and
+    # copy the library makes of codes is in the same dtype
+    F = make_field(p, e)
+    T = F.tables()
+    assert T.code == T.exp.dtype == code
+    rng = np.random.default_rng(F.q)
+    a, b = rng.integers(0, F.q, size=(2, 200)).astype(code)
+    a[:5], b[5:10] = 0, 0
+    for got in (T.mul(a, b), T.add(a, b), T.sub(a, b), T.exp[T.log[a]], T.neg[a]):
+        assert got.dtype == code
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert T.mul(a, b).tolist() == [ref_mul(F, x, y) for x, y in pairs]
+    assert T.add(a, b).tolist() == [ref_add(F, x, y) for x, y in pairs]
+
+    grid = Grid(F, [(0, 1, 2, 3), (0, 1, F.q - 1)])
+    cc = CartesianCode(grid, 2)
+    G = cc.generator_matrix()
+    assert G.array.dtype == poly.monomial_rows(grid, G.monomials).dtype == code
+    assert encode(G, [i % F.q for i in range(1, G.rows + 1)]).dtype == code
+    f, word = extremal_codeword(cc)
+    assert word.dtype == evaluate_on_grid(f, grid).dtype == code
+    assert evaluate_on_grid(MultiPoly.zero(F, 2), grid).dtype == code
+    # the read-only cached matrix goes to rank_mod's elimination as one code-dtype copy
+    seen, pivot_rows = [], _kernels._pivot_rows
+    monkeypatch.setattr(_kernels, "_pivot_rows", lambda M, T: seen.append(M.dtype) or pivot_rows(M, T))
+    assert not G.array.flags.writeable
+    assert _kernels.rank_mod(G.array, T) == G.rows
+    assert seen == [code]
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (131, 1), (4099, 1), (2, 3), (3, 2), (5, 2)])

@@ -375,15 +375,16 @@ def test_monomial_rows_memory_is_bounded():
 
 
 def test_monomial_blocks_concatenate_to_monomial_rows(monkeypatch):
-    # the blocks are new arrays of whole rows, so they can be kept, and together
-    # they are monomial_rows' array, however BLOCK_ENTRIES cuts the rows
+    # the blocks are whole rows of one reused buffer, so each is copied as it
+    # comes, and together they are monomial_rows' array, however BLOCK_ENTRIES
+    # cuts the rows
     F = make_field(3, 2)
     grid = Grid(F, [(0, 1, 5), tuple(range(9)), (2, 7)])
     exps = list(grevlex_exponents([2, 8, 1], 9))
     want = poly.monomial_rows(grid, exps)
     for entries in (1, 2 * grid.size, 5 * grid.size + 3, 1 << 16):
         monkeypatch.setattr(poly, "BLOCK_ENTRIES", entries)
-        blocks = list(poly.monomial_blocks(grid, exps))
+        blocks = [b.copy() for b in poly.monomial_blocks(grid, exps)]
         assert all(b.shape[0] == max(1, entries // grid.size) for b in blocks[:-1])
         assert np.array_equal(np.vstack(blocks), want)
         assert all(b.dtype == np.uint8 for b in blocks)
@@ -422,6 +423,6 @@ def test_monomial_rows_fixed_cost_does_not_grow_with_q():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert arr.dtype == np.uint16 == T.narrow_exp.dtype
+    assert arr.dtype == np.uint16 == T.code
     assert arr.tolist() == [[ref_pow(F, x, a) for x in (0, 1, 65520)] for a in (2, 3)]
-    assert peak < T.narrow_exp.nbytes / 32
+    assert peak < T.exp.nbytes / 32
