@@ -25,11 +25,16 @@ column on.  Because no row ever moves,
 the same elimination gives the rank of every row prefix M[:R]; the rank
 oracle uses this to read dim C_d at every degree d from one matrix, whose
 degree <= d monomials are its first C(n + d, n) rows.  The columns are taken
-a panel at a time: a step updates only its own panel, each later panel
-replays the recorded steps before its first column is read, and the
-elimination returns as soon as every row is a pivot.  A wide matrix of full
-row rank therefore never touches the columns past the panel of its last
-pivot; square and tall matrices are one panel.  The pivot search jumps,
+a panel at a time from a source: views of an array, which is eliminated in
+place, or panels of a LazyMatrix, evaluated as the elimination reaches
+them.  A step updates only its own panel, and a step that a later panel
+replays records its multipliers, the pivot's entry and the hit rows'
+entries in its column, so each later panel replays the recorded steps
+without reading an earlier one, and no panel is kept once it is
+eliminated.  The elimination returns as soon as every row
+is a pivot: a wide matrix of full row rank never touches the columns past
+the panel of its last pivot, and a LazyMatrix never evaluates them.  Square
+and tall matrices are one panel.  The pivot search jumps,
 up to SEARCH_COLS columns at a time, over the columns where every live row
 is zero, so a rank-deficient matrix does not search column by column once
 its live rows are zero.  A table step costs the same few calls however many
@@ -183,47 +188,83 @@ def scan_min_weight_naive(G, tables) -> int:
 # ---------------------------------------------------------------------------
 
 
+class LazyMatrix:
+    """A rows x cols matrix of codes that is evaluated only where it is read.
+
+    evaluate(rows, lo, hi) returns the codes of the rows in the slice `rows`
+    and of the columns [lo, hi) as a new writable array of `dtype`; lo and
+    hi are multiples of `unit`, or hi is cols.  M[rows, lo:hi] evaluates the
+    columns from the multiple of unit at or below lo to the one at or above
+    hi and returns the part asked for, and M[i] is row i, so len(M) and
+    len(M[0]) read the shape as they do on an array (the benchmark's rank
+    counter sizes rank_mod's argument so).  rank_mod reads it a column panel
+    at a time, with the panel bounds at multiples of unit (_panels).
+    """
+
+    def __init__(self, shape, dtype, unit, evaluate):
+        self.shape, self.dtype, self.unit, self.evaluate = shape, np.dtype(dtype), unit, evaluate
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __getitem__(self, key):
+        rows, cols = key if isinstance(key, tuple) else (key, slice(None))
+        lo, hi, _ = cols.indices(self.shape[1])
+        a, b = lo - lo % self.unit, min(hi + -hi % self.unit, self.shape[1])
+        if isinstance(rows, slice):
+            return self.evaluate(rows, a, b)[:, lo - a : hi - a]
+        i = range(self.shape[0])[rows]
+        return self.evaluate(slice(i, i + 1), a, b)[0, lo - a : hi - a]
+
+
 def rank_mod(M, tables, *, prefixes=None):
     """Row rank of M over the field described by the tables.
 
     With `prefixes`, a sequence of row counts R, the result is instead the
     list of rank(M[:R]) for each R, read off the same single elimination.
-    M is consumed: a writable integer array whose dtype holds every code
-    and fits in int64 (the narrow codes of monomial_rows, int64) is
-    eliminated in place, in its own dtype, so a caller that needs the matrix
-    afterwards passes a copy.  Anything else (a read-only array such as a
-    cached generator matrix, a list, a float or too narrow dtype) is copied
-    once into the code dtype tables.code and is never written.  The
-    elimination stops once every row is a pivot, so the columns past the
-    panel of the last pivot may be left unreduced.
+    An array M is consumed: a writable integer array whose dtype holds every
+    code and fits in int64 (the narrow codes of monomial_rows, int64) is
+    eliminated in place, in its own dtype, through views of its column
+    panels, so a caller that needs the matrix afterwards passes a copy.
+    Anything else (a read-only array such as a cached generator matrix, a
+    list, a float or too narrow dtype) is copied once into the code dtype
+    tables.code and is never written.  A LazyMatrix is evaluated a panel at
+    a time, as the elimination reaches each panel, and no panel is kept once
+    it is eliminated.  The elimination stops once every row is a pivot, so
+    the columns past the panel of the last pivot may be left unreduced, and
+    those of a LazyMatrix are never evaluated.
     """
-    M = np.asarray(M)
-    if not (M.flags.writeable and np.can_cast(tables.code, M.dtype) and np.can_cast(M.dtype, np.int64)):
-        M = M.astype(tables.code)
-    pivots = _pivot_rows(M, tables) if M.size else np.zeros(0, dtype=np.int64)
+    if not isinstance(M, LazyMatrix):
+        M = np.asarray(M)
+        if not (M.flags.writeable and np.can_cast(tables.code, M.dtype) and np.can_cast(M.dtype, np.int64)):
+            M = M.astype(tables.code)
+    pivots = _pivot_rows(M, tables) if min(M.shape) else np.zeros(0, dtype=np.int64)
     if prefixes is None:
         return int(pivots.size)
     return [int(r) for r in np.searchsorted(pivots, prefixes)]
 
 
-def _panels(rows, cols):
+def _panels(rows, cols, unit=1):
     """Column panels [lo, hi) of the elimination of a rows x cols matrix.
 
-    The first panel is max(2 * rows, PANEL_COLS) columns wide, and each later
-    one ends at four times the end of the one before, so a matrix has at most
-    1 + ceil(log4(cols / PANEL_COLS)) panels and square or tall ones have one.
-    Every panel replays the recorded steps, one call each; a matrix that
-    never runs out of live rows pays that on every panel, which the fourfold
-    growth keeps to a few percent (doubling cost 20-40% on 91 x 4096).
+    The first panel is max(2 * rows, PANEL_COLS) columns wide, rounded up to
+    a multiple of `unit`, and each later one ends at four times the end of
+    the one before, so every bound but cols is a multiple of unit, a matrix
+    has at most 1 + ceil(log4(cols / PANEL_COLS)) panels, and square or tall
+    ones have one.  Every panel replays the recorded steps, one call each; a
+    matrix that never runs out of live rows pays that on every panel, which
+    the fourfold growth keeps to a few percent (doubling cost 20-40% on
+    91 x 4096).
     """
-    lo, hi = 0, min(cols, max(2 * rows, PANEL_COLS))
+    first = max(2 * rows, PANEL_COLS)
+    lo, hi = 0, min(cols, first + -first % unit)
     while lo < cols:
         yield lo, hi
         lo, hi = hi, min(cols, 4 * hi)
 
 
 def _pivot_rows(M, tables) -> np.ndarray:
-    """Sorted indices of the pivot rows of a swap-free elimination of M (in place).
+    """Sorted indices of the pivot rows of a swap-free elimination of M.
 
     The pivot of column c is the live row of lowest index that is nonzero
     there; it retires, and every other live row nonzero in c gets a multiple
@@ -233,11 +274,19 @@ def _pivot_rows(M, tables) -> np.ndarray:
     first R rows are eliminated exactly as they would be on their own:
     rank(M[:R]) is the number of pivots below R.
 
-    The columns are eliminated a panel at a time (_panels).  A step updates
-    the columns of its own panel only; each later panel first replays the
-    recorded steps in order, which gives every entry the same updates in the
-    same order as updating all columns at once.  The elimination returns as
-    soon as no live row is left, so the panels past that are never read.
+    The columns are eliminated a panel at a time (_panels), each taken as
+    M[:, lo:hi]: a view of an array, which is so eliminated in place, or a
+    new array evaluated from a LazyMatrix, with the bounds at multiples of
+    its unit.  A step updates the columns of its own panel only, reading
+    each chunk of its hit rows once, from its pivot's column on, with the
+    multipliers in that first column.  A step that a later panel replays
+    keeps a copy of its multipliers, the pivot's entry and the hit rows'
+    entries in its column, from the pivot search's read of that column:
+    each later panel first replays the recorded steps in order, reading no
+    earlier panel, which gives every entry the same updates in the same
+    order as updating all columns at once.  No panel is kept once it is
+    eliminated, and the elimination returns as soon as no live row is
+    left, so the panels past that are never read.
 
     A column with no live nonzero sends the search ahead: the next
     SEARCH_COLS columns are tested at once, and it jumps to the first with a
@@ -285,37 +334,44 @@ def _pivot_rows(M, tables) -> np.ndarray:
             plus = tables.add(codes, codes[:, None]).astype(M.dtype, copy=False).ravel()
             multiples = np.multiply(prod, q, dtype=index)
 
-    def step(piv, c, hit, lo, hi):
-        # hit rows -= (M[hit, c] / M[piv, c]) * pivot row, on columns [lo, hi)
-        prow = M[piv, lo:hi]
+    def step(P, piv, a, hit, m, lo):
+        # P[hit, lo:] -= (m / a) * P[piv, lo:], for the pivot's entry a and the hit rows'
+        # entries m in its column; m is None in the pivot's own panel, whose column lo - 1 it is
+        prow = P[piv, lo:]
         chunk = max(1, CHUNK_ENTRIES // prow.size)
-        if prod is not None and (q <= SMALL_FIELD_Q or hit.size >= q) and q * prow.size <= CHUNK_ENTRIES:
-            # take, not [] gathers: numpy indexes with a narrow index array several times slower
-            scaled = multiples.take(prod[neginv[M[piv, c]]].take(prow), axis=1)
-            for s in range(0, hit.size, chunk):  # bounded temporaries
-                sel = hit[s : s + chunk]
-                if odd:
-                    M[sel, lo:hi] = plus.take(scaled.take(M[sel, c], axis=0) + M[sel, lo:hi])
-                else:
-                    M[sel, lo:hi] ^= scaled.take(M[sel, c], axis=0)
-            return
-        # log(-row / row[c]) of the pivot row, in [0, N) or the sentinel where it is 0
-        lrow = log.take(exp[log.take(prow) + (shift - int(log[M[piv, c]])) % n])
+        tabled = prod is not None and (q <= SMALL_FIELD_Q or hit.size >= q) and q * prow.size <= CHUNK_ENTRIES
+        if tabled:  # take, not [] gathers: numpy indexes with a narrow index array several times slower
+            scaled = multiples.take(prod[neginv[a]].take(prow), axis=1)
+        else:  # log(-row / a) of the pivot row, in [0, N) or the sentinel where it is 0
+            lrow = log.take(exp[log.take(prow) + (shift - int(log[a])) % n])
         for s in range(0, hit.size, chunk):  # bounded temporaries
             sel = hit[s : s + chunk]
-            M[sel, lo:hi] = tables.add(M[sel, lo:hi], exp[log.take(M[sel, c])[:, None] + lrow])
+            if m is None:  # one read of the rows, with the multipliers in its first column
+                block = P[sel, lo - 1 :]
+                ms, block = block[:, 0], block[:, 1:]
+            else:
+                ms, block = m[s : s + chunk], P[sel, lo:]
+            if not tabled:
+                P[sel, lo:] = tables.add(block, exp[log.take(ms)[:, None] + lrow])
+            elif odd:
+                P[sel, lo:] = plus.take(scaled.take(ms, axis=0) + block)
+            else:
+                block ^= scaled.take(ms, axis=0)
+                P[sel, lo:] = block
 
     live = np.arange(rows)
     pivots, steps = [], []
-    for lo, hi in _panels(rows, cols):
-        for piv, c, hit in steps:
-            step(piv, c, hit, lo, hi)
+    for lo, hi in _panels(rows, cols, M.unit if isinstance(M, LazyMatrix) else 1):
+        P = M[:, lo:hi]
+        for recorded in steps:
+            step(P, *recorded, 0)
         record = hi < cols  # only a later panel replays
-        c = lo
-        while c < hi:
-            nz = M[live, c].nonzero()[0]
+        c, width = 0, hi - lo
+        while c < width:
+            col = P[live, c]
+            nz = col.nonzero()[0]
             if nz.size == 0:  # jump past the columns ahead that are zero in every live row
-                ahead = M[live, c + 1 : min(c + 1 + SEARCH_COLS, hi)].any(axis=0).nonzero()[0]
+                ahead = P[live, c + 1 : min(c + 1 + SEARCH_COLS, width)].any(axis=0).nonzero()[0]
                 c += 1 + (int(ahead[0]) if ahead.size else SEARCH_COLS)
                 continue
             k = nz[0]
@@ -326,9 +382,10 @@ def _pivot_rows(M, tables) -> np.ndarray:
             if live.size == 0:
                 return np.sort(np.array(pivots, dtype=np.int64))
             if hit.size:
-                if c + 1 < hi:
-                    step(piv, c, hit, c + 1, hi)
-                if record:
-                    steps.append((piv, c, hit))
+                if c + 1 < width:
+                    step(P, piv, col[k], hit, None, c + 1)
+                if record:  # a copy of the multipliers, for the replays
+                    steps.append((piv, col[k], hit, col[nz[1:]]))
             c += 1
+        del P  # before the next panel is evaluated
     return np.sort(np.array(pivots, dtype=np.int64))

@@ -16,9 +16,11 @@ the first rows of the grevlex-ordered all-monomials matrix of any higher
 degree, so one swap-free elimination of the top-degree matrix gives
 rank(C_d) for every d at once (_rank_profile).  Only rows observed to repeat
 a lower-degree row are left out: the powers of each t_i are evaluated on A_i
-until they repeat, never reduced by the footprint or any formula.
-verify_degrees uses the profile to check a whole chain C_0, C_1, ... with
-one elimination per grid.
+until they repeat, never reduced by the footprint or any formula.  The
+matrix is evaluated a column panel at a time, a run of whole elements of
+A_1, as the elimination reaches it, so a wide matrix of full row rank is
+evaluated only up to the panel of its last pivot.  verify_degrees uses the
+profile to check a whole chain C_0, C_1, ... with one elimination per grid.
 """
 
 from __future__ import annotations
@@ -62,9 +64,12 @@ DEFAULT_BUDGET = OracleBudget()
 
 # Entry-count ceiling for the rank oracle's all-monomials matrix, its one cap:
 # the rows are binomial in n and d and the columns are the grid's points, so
-# the matrix can outgrow memory however few codewords a scan would take.  It
-# is eliminated in its narrow codes, so at the cap it takes 64 MiB for
-# q <= 256 and 128 MiB for q <= 65536 (an int64 copy would add 512 MiB).
+# the matrix can outgrow memory and time however few codewords a scan would
+# take.  It counts the whole unreduced matrix, C(n + d, n) rows, although the
+# elimination evaluates it a column panel at a time and may stop before the
+# last panel.  So it bounds the work of an elimination that reads every column,
+# and the memory of its largest panel, at most the whole matrix in narrow codes
+# (64 MiB for q <= 256 and 128 MiB for q <= 65536 at the cap).
 MAX_RANK_ENTRIES = 1 << 26
 
 
@@ -139,18 +144,29 @@ def _rank_profile(grid: Grid, dmax: int) -> list[int]:
     that matrix gives every ranks[d] as a prefix rank (see _kernels.rank_mod).
     Rows observed to repeat a lower-degree row are left out (_exponent_caps):
     each stays in the span of its prefix, so no prefix rank changes.  The
-    caller has admitted dmax.  rank_mod eliminates the narrow codes of
-    monomial_rows in place, so the matrix is the one array of its size: one
-    byte per entry up to q = 256 and two up to 65536, 64 and 128 MiB at
-    MAX_RANK_ENTRIES, next to temporaries of a few CHUNK_ENTRIES.
+    caller has admitted dmax.  The matrix is never built whole: rank_mod
+    takes it as a LazyMatrix and evaluates one column panel at a time, by
+    monomial_rows on the sub-grid A_1[a:b] x A_2 x ... x A_n, whose points
+    are the columns [a * unit, b * unit) in grid.points() order, for unit =
+    |A_2| ... |A_n|.  So the elimination holds one panel, in the narrow
+    codes of monomial_rows (one byte per entry up to q = 256, two up to
+    65536), next to its recorded steps and temporaries of a few
+    CHUNK_ENTRIES, and a wide matrix of full row rank is evaluated only up
+    to the panel of its last pivot.
     """
     T = grid.field.tables()
     exps = list(grevlex_exponents(_exponent_caps(grid.sets, T, dmax), dmax))
-    arr = monomial_rows(grid, exps)
+    unit = grid.size // grid.cards[0]
+
+    def evaluate(rows, lo, hi):  # the grid, or its points A_1[lo/unit : hi/unit] x A_2 x ... x A_n
+        sets = (grid.sets[0][lo // unit : hi // unit], *grid.sets[1:])
+        return monomial_rows(grid if hi - lo == grid.size else Grid(grid.field, sets), exps[rows])
+
     counts = [0] * (dmax + 1)
     for e in exps:
         counts[sum(e)] += 1
-    return _kernels.rank_mod(arr, T, prefixes=list(itertools.accumulate(counts)))
+    M = _kernels.LazyMatrix((len(exps), grid.size), T.code, unit, evaluate)
+    return _kernels.rank_mod(M, T, prefixes=list(itertools.accumulate(counts)))
 
 
 def _exponent_caps(sets, T, dmax: int) -> list[int]:

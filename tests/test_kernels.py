@@ -379,10 +379,22 @@ def _narrow_cases(fields):
             if np.iinfo(dt).max >= p**e - 1]
 
 
+def _lazy(M, unit, panels):
+    """M as a LazyMatrix of the given unit that appends the column range of each evaluation
+    to panels; the evaluations are copies, so M is never written."""
+
+    def evaluate(rows, lo, hi):
+        panels.append((lo, hi))
+        return M[rows, lo:hi].copy()
+
+    return _kernels.LazyMatrix(M.shape, M.dtype, unit, evaluate)
+
+
 def _assert_eliminates_as_reference(M, T, name):
     """_pivot_rows and rank_mod on M in its own dtype against the int64 right-looking
     reference: the same pivots and prefix ranks, the same entries up to the last
-    pivot's panel, and past it the input untouched (the elimination returned)."""
+    pivot's panel, and past it the input untouched (the elimination returned).  As a
+    LazyMatrix, M gives the same prefix ranks, evaluating each column once at most."""
     rows, cols = M.shape
     ref_M = M.astype(np.int64)
     ref = ref_pivot_rows(ref_M, T)
@@ -390,9 +402,14 @@ def _assert_eliminates_as_reference(M, T, name):
     got = _kernels._pivot_rows(got_M, T)
     assert got.tolist() == ref.tolist(), name
     counts = list(range(rows + 1))
+    want = np.searchsorted(ref, counts).tolist()
     work = M.copy()
-    assert _kernels.rank_mod(work, T, prefixes=counts) == np.searchsorted(ref, counts).tolist()
+    assert _kernels.rank_mod(work, T, prefixes=counts) == want
     assert work.dtype == M.dtype and np.array_equal(work, got_M), name
+    panels = []  # the same ranks from panels evaluated on demand, with bounds at multiples of 3
+    assert _kernels.rank_mod(_lazy(M, 3, panels), T, prefixes=counts) == want, name
+    assert all(lo % 3 == 0 and (hi % 3 == 0 or hi == cols) for lo, hi in panels), name
+    assert [lo for lo, _ in panels] == [0] + [hi for _, hi in panels[:-1]], name  # each column once
     end = cols
     if ref.size == rows:
         last = _last_pivot_column(M, T)
@@ -652,11 +669,19 @@ def test_rank_mod_eliminates_writable_codes_in_place(p, e):
 
 
 class _ColumnReads(np.ndarray):
-    """An int64 matrix that records the column of every single-column read M[rows, c]."""
+    """An int64 matrix that records the column of every single-column read M[rows, c],
+    also through the column panels M[:, lo:hi] that the elimination reads them from:
+    a panel is a view of the same class that records its reads at their offset lo."""
+
+    offset = 0
 
     def __getitem__(self, key):
         if isinstance(key, tuple) and len(key) == 2 and isinstance(key[1], (int, np.integer)):
-            self.reads.append(int(key[1]))
+            self.reads.append(self.offset + int(key[1]))
+        if isinstance(key, tuple) and all(isinstance(k, slice) for k in key):
+            panel = np.asarray(self)[key].view(_ColumnReads)
+            panel.reads, panel.offset = self.reads, self.offset + (key[1].start or 0)
+            return panel
         return np.asarray(self)[key]
 
 

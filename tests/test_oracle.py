@@ -1,5 +1,6 @@
 """Brute-force oracles: examples, budgets, verification reports."""
 
+import itertools
 import random
 import tracemalloc
 from math import comb
@@ -16,7 +17,7 @@ from cartcodes import (
     make_field,
     normalize_spec,
 )
-from cartcodes import code as code_module, oracle
+from cartcodes import code as code_module, oracle, poly
 from cartcodes.oracle import (
     OracleBudget,
     _exponent_caps,
@@ -274,6 +275,94 @@ def test_rank_profile_memory_is_bounded_by_the_narrow_matrix(p, e, d):
         tracemalloc.stop()
     assert profile == [comb(2 + k, 2) for k in range(d + 1)]
     assert peak < 2 * narrow
+
+
+def _evaluated_panels(monkeypatch):
+    """The list that records (rows, first A_1 element, A_1 elements, points) of every
+    monomial_rows call that _rank_profile makes, as it happens."""
+    calls, real = [], oracle.monomial_rows
+
+    def counted(grid, exps):
+        calls.append((len(exps), grid.sets[0][0], grid.cards[0], grid.size))
+        return real(grid, exps)
+
+    monkeypatch.setattr(oracle, "monomial_rows", counted)
+    return calls
+
+
+def _whole_matrix_profile(grid, dmax):
+    """_rank_profile's elimination of the same rows, from the whole matrix at once."""
+    T = grid.field.tables()
+    exps = list(poly.grevlex_exponents(_exponent_caps(grid.sets, T, dmax), dmax))
+    prefixes = list(itertools.accumulate(sum(sum(e) == d for e in exps) for d in range(dmax + 1)))
+    return _kernels.rank_mod(poly.monomial_rows(grid, exps), T, prefixes=prefixes), len(exps)
+
+
+# (set sizes, dmax, what the elimination reads, taken over F_7, F_8 and F_9 too): each
+# matrix is wide, so it has several panels
+LAZY_PROFILE_GRIDS = [
+    ((300,), 20, "first panel", False),  # 21 x 300, a Vandermonde matrix
+    ((20, 20), 3, "first panel", False),  # 10 x 400: the first panel has 13 elements of A_1
+    ((7, 7, 7), 2, "first panel", True),  # 10 x 343
+    ((7, 7, 7), 7, "every panel", False),  # 120 x 343, rank 117
+    ((3, 300), 2, "wider unit", False),  # 6 x 900: a panel holds whole runs of 300 points
+    ((3, 300), 3, "every panel", False),  # 10 x 900, rank 9, the same runs
+    ((3,) * 6, 3, "every panel", True),  # 84 x 729, rank 78 on {0, 1, g}^6
+]
+
+
+@pytest.mark.parametrize("p,e", [(1021, 1), (2, 9), (3, 6), (7, 1), (2, 3), (3, 2)])
+def test_lazy_rank_profile_matches_the_whole_matrix(monkeypatch, p, e):
+    # the profile evaluated a column panel at a time equals the elimination of the
+    # whole matrix, on prime, binary and odd extension fields, with row-by-row steps
+    # (F_1021, F_2^9, F_3^6) and table steps (F_7, F_8, F_9).  Each panel is a run of
+    # whole elements of A_1, evaluated once; a rank-deficient matrix evaluates every
+    # panel, so each later one replays the recorded steps, and a wide one of full row
+    # rank stops at its first when that holds its last pivot
+    F = make_field(p, e)
+    rng = random.Random(p + e)
+    g = F.primitive_element()
+    calls = _evaluated_panels(monkeypatch)
+    for sizes, dmax, reads, small in LAZY_PROFILE_GRIDS:
+        if F.q < 300 and not small:
+            continue
+        sets = [[0, 1, g] if s == 3 else sorted(rng.sample(range(F.q), s)) for s in sizes]
+        grid = Grid(F, sets)
+        want, rows = _whole_matrix_profile(grid, dmax)
+        calls.clear()
+        assert _rank_profile(grid, dmax) == want, (sizes, dmax)
+        unit = grid.size // grid.cards[0]
+        first = next(_kernels._panels(rows, grid.size, unit))[1]
+        assert first < grid.size, (sizes, dmax)  # the matrix is wide
+        assert all(r == rows for r, *_ in calls)
+        starts = [grid.sets[0].index(a) for _, a, _, _ in calls]
+        assert starts == list(itertools.accumulate([0] + [c for _, _, c, _ in calls[:-1]]))
+        evaluated = sum(size for *_, size in calls)
+        if reads == "first panel":
+            assert want[-1] == rows and evaluated == first, (sizes, dmax)
+        else:
+            assert len(calls) > 1 and evaluated == grid.size, (sizes, dmax)
+        if reads == "every panel":
+            assert want[-1] < rows, (sizes, dmax)
+        if reads == "wider unit":
+            assert unit > _kernels.PANEL_COLS and calls[0][3] == unit
+
+
+def test_wide_full_rank_profile_evaluates_its_first_panel_only(monkeypatch):
+    # 91 x 4096 as in the benchmark's largefield rank check.  On 4096 points of F_4099
+    # at d = 90 (a Vandermonde matrix) every row is a pivot by column 91, so only the
+    # first panel of 256 columns is evaluated; on a 64 x 64 grid over F_2^11 at d = 12,
+    # the shape of largefield's, the rows need 13 elements of A_1 (832 points), so the
+    # elimination stops in the second panel, at 1024 columns
+    calls = _evaluated_panels(monkeypatch)
+    F = make_field(4099)
+    assert _rank_profile(Grid(F, [range(4096)]), 90) == list(range(1, 92))
+    assert sum(rows * size for rows, *_, size in calls) == 91 * 256
+    calls.clear()
+    F = make_field(2, 11)
+    grid = Grid(F, [range(1, 65), range(64, 128)])
+    assert _rank_profile(grid, 12)[-1] == 91
+    assert sum(rows * size for rows, *_, size in calls) == 91 * 1024
 
 
 def test_verify_degrees_skips_per_degree(monkeypatch):
