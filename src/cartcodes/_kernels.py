@@ -24,16 +24,16 @@ live row of lowest index, and the other live rows are updated from the next
 column on.  Because no row ever moves,
 the same elimination gives the rank of every row prefix M[:R]; the rank
 oracle uses this to read dim C_d at every degree d from one matrix, whose
-degree <= d monomials are its first C(n + d, n) rows.  The columns are taken
-a panel at a time from a source: views of an array, which is eliminated in
-place, or panels of a LazyMatrix, evaluated as the elimination reaches
-them.  A step updates only its own panel, and a step that a later panel
+degree <= d monomials are its first C(n + d, n) rows.  rank_mod takes the
+matrix as a LazyMatrix and evaluates one column panel at a time, as the
+elimination reaches it, in the field's code dtype, and eliminates it in
+place.  A step updates only its own panel, and a step that a later panel
 replays records its multipliers, the pivot's entry and the hit rows'
 entries in its column, so each later panel replays the recorded steps
 without reading an earlier one, and no panel is kept once it is
 eliminated.  The elimination returns as soon as every row
 is a pivot: a wide matrix of full row rank never touches the columns past
-the panel of its last pivot, and a LazyMatrix never evaluates them.  Square
+the panel of its last pivot, so it never evaluates them.  Square
 and tall matrices are one panel.  The pivot search jumps,
 up to SEARCH_COLS columns at a time, over the columns where every live row
 is zero, so a rank-deficient matrix does not search column by column once
@@ -47,11 +47,11 @@ at least q hit rows is, and the others scale the pivot row once per hit row.
 All kernels do their field arithmetic through the field's vectorized
 FieldTables operations, so they are field-agnostic.  Those return codes in
 the field's code dtype, tables.code, for codes in it, so both kernels keep
-their codes narrow: the scan converts G once, and rank eliminates the
-codes of monomial_rows in place; only the logarithm sums and table offsets
-of the scan and of the row-by-row steps are int64.  numpy's [] gathers by
-a narrow index array several times slower than take, so the row-by-row
-steps and the Zech add gather by take at arrays of codes.
+their codes narrow: the scan converts G once, and rank eliminates its
+panels, evaluated in tables.code, in place; only the logarithm sums and
+table offsets of the scan and of the row-by-row steps are int64.  numpy's
+[] gathers by a narrow index array several times slower than take, so the
+row-by-row steps and the Zech add gather by take at arrays of codes.
 """
 
 from __future__ import annotations
@@ -192,17 +192,18 @@ class LazyMatrix:
     """A rows x cols matrix of codes that is evaluated only where it is read.
 
     evaluate(rows, lo, hi) returns the codes of the rows in the slice `rows`
-    and of the columns [lo, hi) as a new writable array of `dtype`; lo and
-    hi are multiples of `unit`, or hi is cols.  M[rows, lo:hi] evaluates the
-    columns from the multiple of unit at or below lo to the one at or above
-    hi and returns the part asked for, and M[i] is row i, so len(M) and
-    len(M[0]) read the shape as they do on an array (the benchmark's rank
-    counter sizes rank_mod's argument so).  rank_mod reads it a column panel
-    at a time, with the panel bounds at multiples of unit (_panels).
+    and of the columns [lo, hi) as a new writable array in the field's code
+    dtype, tables.code; lo and hi are multiples of `unit`, or hi is cols.
+    rank_mod reads it a column panel at a time, with the panel bounds at
+    multiples of unit (_panels), and eliminates each panel in place.
+    M[rows, lo:hi] evaluates the columns from the multiple of unit at or
+    below lo to the one at or above hi and returns the part asked for, and
+    M[i] is row i, so len(M) and len(M[0]) read the shape as they do on an
+    array (the benchmark's rank counter sizes rank_mod's argument so).
     """
 
-    def __init__(self, shape, dtype, unit, evaluate):
-        self.shape, self.dtype, self.unit, self.evaluate = shape, np.dtype(dtype), unit, evaluate
+    def __init__(self, shape, unit, evaluate):
+        self.shape, self.unit, self.evaluate = shape, unit, evaluate
 
     def __len__(self):
         return self.shape[0]
@@ -217,34 +218,7 @@ class LazyMatrix:
         return self.evaluate(slice(i, i + 1), a, b)[0, lo - a : hi - a]
 
 
-def rank_mod(M, tables, *, prefixes=None):
-    """Row rank of M over the field described by the tables.
-
-    With `prefixes`, a sequence of row counts R, the result is instead the
-    list of rank(M[:R]) for each R, read off the same single elimination.
-    An array M is consumed: a writable integer array whose dtype holds every
-    code and fits in int64 (the narrow codes of monomial_rows, int64) is
-    eliminated in place, in its own dtype, through views of its column
-    panels, so a caller that needs the matrix afterwards passes a copy.
-    Anything else (a read-only array such as a cached generator matrix, a
-    list, a float or too narrow dtype) is copied once into the code dtype
-    tables.code and is never written.  A LazyMatrix is evaluated a panel at
-    a time, as the elimination reaches each panel, and no panel is kept once
-    it is eliminated.  The elimination stops once every row is a pivot, so
-    the columns past the panel of the last pivot may be left unreduced, and
-    those of a LazyMatrix are never evaluated.
-    """
-    if not isinstance(M, LazyMatrix):
-        M = np.asarray(M)
-        if not (M.flags.writeable and np.can_cast(tables.code, M.dtype) and np.can_cast(M.dtype, np.int64)):
-            M = M.astype(tables.code)
-    pivots = _pivot_rows(M, tables) if min(M.shape) else np.zeros(0, dtype=np.int64)
-    if prefixes is None:
-        return int(pivots.size)
-    return [int(r) for r in np.searchsorted(pivots, prefixes)]
-
-
-def _panels(rows, cols, unit=1):
+def _panels(rows, cols, unit):
     """Column panels [lo, hi) of the elimination of a rows x cols matrix.
 
     The first panel is max(2 * rows, PANEL_COLS) columns wide, rounded up to
@@ -263,30 +237,32 @@ def _panels(rows, cols, unit=1):
         lo, hi = hi, min(cols, 4 * hi)
 
 
-def _pivot_rows(M, tables) -> np.ndarray:
-    """Sorted indices of the pivot rows of a swap-free elimination of M.
+def rank_mod(M, tables) -> np.ndarray:
+    """Sorted indices of the pivot rows of a swap-free elimination of the LazyMatrix M.
 
-    The pivot of column c is the live row of lowest index that is nonzero
-    there; it retires, and every other live row nonzero in c gets a multiple
-    of it added from column c + 1 on (the entries up to c are never read
-    again).  A row of index >= R becomes a pivot only when every live row
-    below R is zero in that column, and then it changes none of them, so the
-    first R rows are eliminated exactly as they would be on their own:
-    rank(M[:R]) is the number of pivots below R.
+    Their count is the row rank of M over the field described by the
+    tables.  The pivot of column c is the live row of lowest index that is
+    nonzero there; it retires, and every other live row nonzero in c gets a
+    multiple of it added from column c + 1 on (the entries up to c are never
+    read again).  A row of index >= R becomes a pivot only when every live
+    row below R is zero in that column, and then it changes none of them, so
+    the first R rows are eliminated exactly as they would be on their own:
+    rank(M[:R]) is the number of pivots below R, which
+    np.searchsorted(pivots, R) reads off.
 
-    The columns are eliminated a panel at a time (_panels), each taken as
-    M[:, lo:hi]: a view of an array, which is so eliminated in place, or a
-    new array evaluated from a LazyMatrix, with the bounds at multiples of
-    its unit.  A step updates the columns of its own panel only, reading
-    each chunk of its hit rows once, from its pivot's column on, with the
-    multipliers in that first column.  A step that a later panel replays
-    keeps a copy of its multipliers, the pivot's entry and the hit rows'
-    entries in its column, from the pivot search's read of that column:
-    each later panel first replays the recorded steps in order, reading no
-    earlier panel, which gives every entry the same updates in the same
-    order as updating all columns at once.  No panel is kept once it is
-    eliminated, and the elimination returns as soon as no live row is
-    left, so the panels past that are never read.
+    The columns are eliminated a panel at a time (_panels), each evaluated
+    as M[:, lo:hi] when the elimination reaches it, with the bounds at
+    multiples of M.unit, and eliminated in place.  A step updates the
+    columns of its own panel only, reading each chunk of its hit rows once,
+    from its pivot's column on, with the multipliers in that first column.
+    A step that a later panel replays keeps a copy of its multipliers, the
+    pivot's entry and the hit rows' entries in its column, from the pivot
+    search's read of that column: each later panel first replays the
+    recorded steps in order, reading no earlier panel, which gives every
+    entry the same updates in the same order as updating all columns at
+    once.  No panel is kept once it is eliminated, and the elimination
+    returns as soon as no live row is left, so the columns past the panel of
+    the last pivot are never evaluated.
 
     A column with no live nonzero sends the search ahead: the next
     SEARCH_COLS columns are tested at once, and it jumps to the first with a
@@ -297,25 +273,22 @@ def _pivot_rows(M, tables) -> np.ndarray:
     per column, and a column that has a pivot costs no test at all.
 
     Over a field with q^2 <= CHUNK_ENTRIES the call builds, once, a q x q
-    product table in M's dtype, the negated inverses -1/a and, for odd p, a
-    q x q addition table read at q * b + a.  The offsets q * b are held in
-    the narrowest dtype that holds q^2 - 1 and M's dtype (uint8 on uint8
-    codes up to q = 13), so they need no int64 temporaries.  A table step
-    takes the same few calls however many rows it hits: one take normalizes
-    the pivot row to -row / row[c], one take along the product table's
-    columns forms its q multiples, and each hit row adds its multiplier's row
-    of them, by XOR for p = 2 and by one gather from the addition table for
-    odd p.  Over a field of at most SMALL_FIELD_Q elements every step is a
-    table step; over a larger one only a step with at least q hit rows is,
-    as the q multiples of a wide pivot row cost more than scaling it for a
-    few rows.  The other steps, those whose q multiples would exceed
-    CHUNK_ENTRIES, and every step over a field with q^2 > CHUNK_ENTRIES
-    scale the pivot row once per hit row, through logarithms, and add it by
-    tables.add.  The arithmetic is exact, so both give the same entries.
-
-    M is updated in its own dtype.  The codes written come from the step
-    tables (held in M's dtype) or from tables.exp and tables.add, which
-    give codes in tables.code, so narrow codes are never widened.
+    product table, the negated inverses -1/a and, for odd p, a q x q
+    addition table read at q * b + a, all in tables.code.  The offsets
+    q * b are held in the narrowest dtype that holds q^2 - 1 (uint8 up to
+    q = 13), so they need no int64 temporaries.  A table step takes the
+    same few calls however many rows it hits: one take normalizes the pivot
+    row to -row / row[c], one take along the product table's columns forms
+    its q multiples, and each hit row adds its multiplier's row of them, by
+    XOR for p = 2 and by one gather from the addition table for odd p.  Over
+    a field of at most SMALL_FIELD_Q elements every step is a table step;
+    over a larger one only a step with at least q hit rows is, as the q
+    multiples of a wide pivot row cost more than scaling it for a few rows.
+    The other steps, those whose q multiples would exceed CHUNK_ENTRIES, and
+    every step over a field with q^2 > CHUNK_ENTRIES scale the pivot row
+    once per hit row, through logarithms, and add it by tables.add.  The
+    arithmetic is exact, so both give the same entries, and every code
+    written is in tables.code.
     """
     rows, cols = M.shape
     q = tables.q
@@ -323,16 +296,15 @@ def _pivot_rows(M, tables) -> np.ndarray:
     log, exp = tables.log, tables.exp
     odd = tables.p != 2
     shift = n // 2 if odd else 0  # log(-1)
-    prod = None  # prod[a, b] = a * b, in M's dtype; None where no step takes the tables
+    prod = None  # prod[a, b] = a * b; None where no step takes the tables
     if q * q <= CHUNK_ENTRIES and (q <= SMALL_FIELD_Q or q < rows):  # only q + 1 rows give q hit rows
-        prod = exp[log[:, None] + log].astype(M.dtype, copy=False)
+        prod = exp[log[:, None] + log]
         neginv = exp[(shift - log) % n]  # -1/a (entry 0 unused)
         multiples = prod  # row m of multiples.take(row, axis=1) is m * row
         if odd:  # ... times q, an offset into plus: a + b = plus[q * b + a]
-            index = np.promote_types(np.min_scalar_type(q * q - 1), M.dtype)
-            codes = np.arange(q, dtype=M.dtype)
-            plus = tables.add(codes, codes[:, None]).astype(M.dtype, copy=False).ravel()
-            multiples = np.multiply(prod, q, dtype=index)
+            codes = np.arange(q, dtype=tables.code)
+            plus = tables.add(codes, codes[:, None]).ravel()
+            multiples = np.multiply(prod, q, dtype=np.min_scalar_type(q * q - 1))
 
     def step(P, piv, a, hit, m, lo):
         # P[hit, lo:] -= (m / a) * P[piv, lo:], for the pivot's entry a and the hit rows'
@@ -361,13 +333,15 @@ def _pivot_rows(M, tables) -> np.ndarray:
 
     live = np.arange(rows)
     pivots, steps = [], []
-    for lo, hi in _panels(rows, cols, M.unit if isinstance(M, LazyMatrix) else 1):
+    for lo, hi in _panels(rows, cols, M.unit):
+        if live.size == 0:
+            break
         P = M[:, lo:hi]
         for recorded in steps:
             step(P, *recorded, 0)
         record = hi < cols  # only a later panel replays
         c, width = 0, hi - lo
-        while c < width:
+        while c < width and live.size:
             col = P[live, c]
             nz = col.nonzero()[0]
             if nz.size == 0:  # jump past the columns ahead that are zero in every live row
@@ -379,8 +353,6 @@ def _pivot_rows(M, tables) -> np.ndarray:
             pivots.append(piv)
             hit = live[nz[1:]]
             live = np.concatenate((live[:k], live[k + 1 :]))
-            if live.size == 0:
-                return np.sort(np.array(pivots, dtype=np.int64))
             if hit.size:
                 if c + 1 < width:
                     step(P, piv, col[k], hit, None, c + 1)

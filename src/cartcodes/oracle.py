@@ -141,16 +141,17 @@ def _rank_profile(grid: Grid, dmax: int) -> list[int]:
 
     In ascending grevlex order the monomials of degree <= d are the first
     rows of the all-monomials matrix of degree dmax, so one elimination of
-    that matrix gives every ranks[d] as a prefix rank (see _kernels.rank_mod).
-    Rows observed to repeat a lower-degree row are left out (_exponent_caps):
-    each stays in the span of its prefix, so no prefix rank changes.  The
-    caller has admitted dmax.  The matrix is never built whole: rank_mod
-    takes it as a LazyMatrix and evaluates one column panel at a time, by
-    monomial_rows on the sub-grid A_1[a:b] x A_2 x ... x A_n, whose points
-    are the columns [a * unit, b * unit) in grid.points() order, for unit =
-    |A_2| ... |A_n|.  So the elimination holds one panel, in the narrow
-    codes of monomial_rows (one byte per entry up to q = 256, two up to
-    65536), next to its recorded steps and temporaries of a few
+    that matrix gives every ranks[d] as a prefix rank: the number of its
+    pivot rows (_kernels.rank_mod) below the count of monomials of degree
+    <= d.  Rows observed to repeat a lower-degree row are left out
+    (_exponent_caps): each stays in the span of its prefix, so no prefix
+    rank changes.  The caller has admitted dmax.  The matrix is never built
+    whole: rank_mod takes it as a LazyMatrix and evaluates one column panel
+    at a time, by monomial_rows on the sub-grid A_1[a:b] x A_2 x ... x A_n,
+    whose points are the columns [a * unit, b * unit) in grid.points()
+    order, for unit = |A_2| ... |A_n|.  So the elimination holds one panel,
+    in the code dtype of monomial_rows (one byte per entry up to q = 256,
+    two up to 65536), next to its recorded steps and temporaries of a few
     CHUNK_ENTRIES, and a wide matrix of full row rank is evaluated only up
     to the panel of its last pivot.
     """
@@ -165,8 +166,8 @@ def _rank_profile(grid: Grid, dmax: int) -> list[int]:
     counts = [0] * (dmax + 1)
     for e in exps:
         counts[sum(e)] += 1
-    M = _kernels.LazyMatrix((len(exps), grid.size), T.code, unit, evaluate)
-    return _kernels.rank_mod(M, T, prefixes=list(itertools.accumulate(counts)))
+    pivots = _kernels.rank_mod(_kernels.LazyMatrix((len(exps), grid.size), unit, evaluate), T)
+    return np.searchsorted(pivots, list(itertools.accumulate(counts))).tolist()
 
 
 def _exponent_caps(sets, T, dmax: int) -> list[int]:

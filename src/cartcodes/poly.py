@@ -420,8 +420,8 @@ def monomial_rows(grid: Grid, exps_list) -> np.ndarray:
     about BLOCK_ENTRIES codes at a time (monomial_blocks), and each block's
     last gather writes into them.  They are codes in the field's code dtype,
     FieldTables.code (uint8 up to q = 256), gathered from FieldTables.exp,
-    so a call's fixed cost does not grow with q.  The rank oracle eliminates
-    the rows in place (_kernels.rank_mod).
+    so a call's fixed cost does not grow with q.  The rank oracle evaluates
+    its column panels so, and eliminates each in place (_kernels.rank_mod).
     """
     arr = np.empty((len(exps_list), grid.size), dtype=grid.field.tables().code)
     for _ in monomial_blocks(grid, exps_list, out=arr):

@@ -88,6 +88,26 @@ def random_grid(field, cards, rng: random.Random) -> Grid:
     return Grid(field, sets)
 
 
+def lazy_codes(M, tables, unit=1):
+    """The array M as a _kernels.LazyMatrix of the given unit, for rank_mod.
+
+    Each evaluation is a copy in tables.code of the part of M asked for, so
+    M is never written, and keeps the class of M's own part (a subclass view
+    keeps its attributes).  The matrix's `panels` lists (lo, codes) for
+    every evaluation, in order, and the codes are those rank_mod eliminated.
+    """
+    panels = []
+
+    def evaluate(rows, lo, hi):
+        codes = M[rows, lo:hi].astype(tables.code)
+        panels.append((lo, codes))
+        return codes
+
+    lazy = _kernels.LazyMatrix(M.shape, unit, evaluate)
+    lazy.panels = panels
+    return lazy
+
+
 def full_rank_profile(grid, dmax):
     """oracle._rank_profile without dropping repeated rows: every monomial of degree <= dmax.
 
@@ -95,13 +115,14 @@ def full_rank_profile(grid, dmax):
     grevlex all-monomials matrix, read at the prefixes C(n + d, n).
     """
     n = grid.n
+    T = grid.field.tables()
     arr = poly.monomial_rows(grid, list(poly.grevlex_exponents([dmax] * n, dmax)))
     prefixes = [math.comb(n + d, n) for d in range(dmax + 1)]
-    return _kernels.rank_mod(arr, grid.field.tables(), prefixes=prefixes)
+    return np.searchsorted(_kernels.rank_mod(lazy_codes(arr, T), T), prefixes).tolist()
 
 
 def ref_pivot_rows(M, tables) -> np.ndarray:
-    """_kernels._pivot_rows by right-looking elimination: every step updates all later columns.
+    """_kernels.rank_mod by right-looking elimination: every step updates all later columns.
 
     The same swap-free elimination with the same pivot rule, on the whole
     matrix at once and to its last column.  M is eliminated in place.

@@ -9,7 +9,7 @@ import pytest
 
 from cartcodes import make_field, normalize_spec
 from cartcodes import _kernels
-from helpers import ref_pivot_rows, span_words
+from helpers import lazy_codes, ref_pivot_rows, span_words
 
 
 def _random_rows(field, k, length, rng):
@@ -257,7 +257,7 @@ def test_rank_paths_agree_with_span_oracle(p, e):
         k = rng.randint(1, 3)
         length = rng.randint(1, 5)
         M = _random_rows(F, k, length, rng)
-        r = _kernels.rank_mod(M.copy(), T)
+        r = _kernels.rank_mod(lazy_codes(M, T), T).size
         # span size is q^rank
         assert len(span_words(F, M.tolist())) == F.q**r
 
@@ -297,9 +297,8 @@ def test_rank_prefix_profile(p, e):
         M = _prefix_test_matrix(F, rng) if trial % 2 else _random_rows(
             F, rng.randint(1, 7), rng.randint(1, 6), rng)
         counts = list(range(M.shape[0] + 1))
-        profile = _kernels.rank_mod(M.copy(), T, prefixes=counts)
-        assert profile == [_kernels.rank_mod(M[:R].copy(), T) for R in counts]
-        assert profile[-1] == _kernels.rank_mod(M.copy(), T)
+        profile = np.searchsorted(_kernels.rank_mod(lazy_codes(M, T), T), counts).tolist()
+        assert profile == [_kernels.rank_mod(lazy_codes(M[:R], T), T).size for R in counts]
         for R in counts[1:]:
             if F.q ** min(R, M.shape[1]) <= 1 << 10:  # span sizes stay small
                 assert len(span_words(F, M[:R].tolist())) == F.q ** profile[R]
@@ -325,7 +324,7 @@ def _panel_end_pivots(F, rows, rng):
     below it, and every other column of the first panels is zero; the columns
     past them are random.
     """
-    bounds = list(_kernels._panels(rows, 10 * rows + 7))
+    bounds = list(_kernels._panels(rows, 10 * rows + 7, 1))
     cols = bounds[-1][1]
     M = _random_rows(F, rows, cols, rng)
     planted = min(rows, len(bounds) - 1)
@@ -373,49 +372,36 @@ def _last_pivot_column(M, tables):
 
 
 def _narrow_cases(fields):
-    """(p, e, dtype) for each field and each narrow code dtype, uint8 or uint16, that
-    holds its codes: the dtypes that monomial_rows gives, and rank eliminates in place."""
+    """(p, e, dtype) for each field and each narrow dtype, uint8 or uint16, that holds
+    its codes: a source held in either is evaluated into tables.code panels."""
     return [(p, e, dt) for p, e in fields for dt in ("uint8", "uint16")
             if np.iinfo(dt).max >= p**e - 1]
 
 
-def _lazy(M, unit, panels):
-    """M as a LazyMatrix of the given unit that appends the column range of each evaluation
-    to panels; the evaluations are copies, so M is never written."""
-
-    def evaluate(rows, lo, hi):
-        panels.append((lo, hi))
-        return M[rows, lo:hi].copy()
-
-    return _kernels.LazyMatrix(M.shape, M.dtype, unit, evaluate)
-
-
 def _assert_eliminates_as_reference(M, T, name):
-    """_pivot_rows and rank_mod on M in its own dtype against the int64 right-looking
-    reference: the same pivots and prefix ranks, the same entries up to the last
-    pivot's panel, and past it the input untouched (the elimination returned).  As a
-    LazyMatrix, M gives the same prefix ranks, evaluating each column once at most."""
+    """rank_mod on M, evaluated in tables.code, against the int64 right-looking reference:
+    the same pivots, the same prefix ranks with the panel bounds at multiples of 3, and
+    the same entries up to the last pivot's panel, each column evaluated once and none
+    past that panel (the elimination returned)."""
     rows, cols = M.shape
     ref_M = M.astype(np.int64)
     ref = ref_pivot_rows(ref_M, T)
-    got_M = M.copy()
-    got = _kernels._pivot_rows(got_M, T)
-    assert got.tolist() == ref.tolist(), name
+    lazy = lazy_codes(M, T)
+    assert _kernels.rank_mod(lazy, T).tolist() == ref.tolist(), name
     counts = list(range(rows + 1))
-    want = np.searchsorted(ref, counts).tolist()
-    work = M.copy()
-    assert _kernels.rank_mod(work, T, prefixes=counts) == want
-    assert work.dtype == M.dtype and np.array_equal(work, got_M), name
-    panels = []  # the same ranks from panels evaluated on demand, with bounds at multiples of 3
-    assert _kernels.rank_mod(_lazy(M, 3, panels), T, prefixes=counts) == want, name
-    assert all(lo % 3 == 0 and (hi % 3 == 0 or hi == cols) for lo, hi in panels), name
-    assert [lo for lo, _ in panels] == [0] + [hi for _, hi in panels[:-1]], name  # each column once
+    thirds = lazy_codes(M, T, 3)
+    got = np.searchsorted(_kernels.rank_mod(thirds, T), counts).tolist()
+    assert got == np.searchsorted(ref, counts).tolist(), name
+    bounds = [(lo, lo + P.shape[1]) for lo, P in thirds.panels]
+    assert all(lo % 3 == 0 and (hi % 3 == 0 or hi == cols) for lo, hi in bounds), name
+    assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]], name  # each column once
     end = cols
     if ref.size == rows:
         last = _last_pivot_column(M, T)
-        end = next(hi for lo, hi in _kernels._panels(rows, cols) if lo <= last < hi)
-    assert np.array_equal(got_M[:, :end], ref_M[:, :end]), name
-    assert np.array_equal(got_M[:, end:], M[:, end:]), name
+        end = next(hi for lo, hi in _kernels._panels(rows, cols, 1) if lo <= last < hi)
+    bounds = [(lo, lo + P.shape[1]) for lo, P in lazy.panels]
+    assert bounds == [(lo, hi) for lo, hi in _kernels._panels(rows, cols, 1) if lo < end], name
+    assert np.array_equal(np.hstack([P for _, P in lazy.panels]), ref_M[:, :end]), name
 
 
 @pytest.mark.parametrize("panel", [1, 2, 3])
@@ -431,7 +417,7 @@ def test_rank_panels_match_reference_on_narrow_codes(monkeypatch, p, e, dtype, p
 
 
 def _check_rank_panels(monkeypatch, p, e, panel, dtype):
-    """The panel elimination of M in dtype against the int64 right-looking reference."""
+    """The panel elimination of M, held in dtype, against the int64 right-looking reference."""
     monkeypatch.setattr(_kernels, "PANEL_COLS", panel)
     F = make_field(p, e)
     T = F.tables()
@@ -443,8 +429,8 @@ def _check_rank_panels(monkeypatch, p, e, panel, dtype):
 @pytest.mark.parametrize("p,e", RANK_PANEL_FIELDS)
 def test_rank_leaves_columns_past_the_first_panel_untouched(p, e):
     # M = [A | B] with A invertible: every row is a pivot by column r - 1, so the
-    # elimination returns within the first panel and never reads B's columns there
-    # (the right-looking elimination rewrote all of them)
+    # elimination returns within the first panel and never evaluates B's columns
+    # past it (the right-looking elimination rewrote all of them)
     F = make_field(p, e)
     T = F.tables()
     rng = random.Random(500 * p + e)
@@ -452,12 +438,13 @@ def test_rank_leaves_columns_past_the_first_panel_untouched(p, e):
     A = _full_rank_rows(F, r, r, rng)
     B = _random_rows(F, r, 3 * _kernels.PANEL_COLS, rng)
     M = np.hstack([A, B])
-    work = M.copy()
-    assert _kernels.rank_mod(work, T) == r
-    first = next(_kernels._panels(r, M.shape[1]))[1]
+    lazy = lazy_codes(M, T)
+    assert _kernels.rank_mod(lazy, T).size == r
+    first = next(_kernels._panels(r, M.shape[1], 1))[1]
     assert first == _kernels.PANEL_COLS
-    assert np.array_equal(work[:, first:], M[:, first:])
-    assert not np.array_equal(work[:, :first], M[:, :first])
+    [(lo, P)] = lazy.panels
+    assert lo == 0 and P.shape == (r, first)
+    assert not np.array_equal(P, M[:, :first])
 
 
 def test_rank_panel_schedule():
@@ -465,11 +452,11 @@ def test_rank_panel_schedule():
     # columns; past that the panel ends grow fourfold, so a few panels cover it all
     w = _kernels.PANEL_COLS
     for rows, cols in [(343, 343), (495, 125), (10, 125), (91, 1), (1, w)]:
-        assert list(_kernels._panels(rows, cols)) == [(0, cols)]
-    assert list(_kernels._panels(91, 4096)) == [(0, w), (w, 4 * w), (4 * w, 4096)]
-    assert list(_kernels._panels(300, 4096)) == [(0, 600), (600, 2400), (2400, 4096)]
+        assert list(_kernels._panels(rows, cols, 1)) == [(0, cols)]
+    assert list(_kernels._panels(91, 4096, 1)) == [(0, w), (w, 4 * w), (4 * w, 4096)]
+    assert list(_kernels._panels(300, 4096, 1)) == [(0, 600), (600, 2400), (2400, 4096)]
     for rows, cols in [(1, 10**6), (7, 999), (200, 12345)]:
-        bounds = list(_kernels._panels(rows, cols))
+        bounds = list(_kernels._panels(rows, cols, 1))
         assert bounds[0] == (0, min(cols, max(2 * rows, w)))
         assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
         assert bounds[-1][1] == cols
@@ -532,9 +519,9 @@ def _count_row_updates(monkeypatch, T):
 
 
 def _row_by_row_updates(updates, M, T):
-    """The row blocks that _pivot_rows adds to through tables.add while it eliminates M."""
+    """The row blocks that rank_mod adds to through tables.add while it eliminates M."""
     updates.clear()
-    _kernels._pivot_rows(M.copy(), T)
+    _kernels.rank_mod(lazy_codes(M, T), T)
     return list(updates)
 
 
@@ -569,7 +556,7 @@ def test_rank_table_steps_match_reference_on_narrow_codes(monkeypatch, p, e, dty
 
 
 def _check_rank_table_steps(monkeypatch, p, e, panel, chunk, dtype):
-    """The table steps on M in dtype against the int64 right-looking reference."""
+    """The table steps on M, held in dtype, against the int64 right-looking reference."""
     monkeypatch.setattr(_kernels, "PANEL_COLS", panel)
     F = make_field(p, e)
     T = F.tables()
@@ -594,6 +581,7 @@ def _check_rank_table_steps(monkeypatch, p, e, panel, chunk, dtype):
 # - the "few hit rows" case has more than q rows, so every field with q^2 <=
 #   CHUNK_ENTRIES builds its tables, but only 4 nonzero ones, so every step hits
 #   fewer than q rows; F_7 is one more small field whose steps take the tables.
+# Each case's source is held in each dtype; its panels are evaluated into tables.code.
 STEP_TABLE_EDGES = [
     (13, 1), (17, 1),
     (31, 1), (37, 1), (2, 5), (2, 6), (3, 3), (7, 2),
@@ -639,41 +627,14 @@ def test_rank_step_table_edges(monkeypatch, p, e, dtype):
     assert untabled
 
 
-@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (3, 2), (2, 11)])
-def test_rank_mod_eliminates_writable_codes_in_place(p, e):
-    # a writable integer array that holds every code is eliminated in its own
-    # dtype; anything else goes to one copy in the narrowest code dtype and is
-    # never written
-    F = make_field(p, e)
-    T = F.tables()
-    rng = random.Random(800 * p + e)
-    M = _combined_rows(F, 12, 4, 40, rng)
-    want = ref_pivot_rows(M.copy(), T).size
-    assert want == 4
-    for dtype in ("int64", "int32", "uint16", np.min_scalar_type(F.q - 1)):
-        work = M.astype(dtype)
-        assert _kernels.rank_mod(work, T) == want
-        assert work.dtype == dtype and not np.array_equal(work, M), dtype
-    read_only = M.astype(np.min_scalar_type(F.q - 1))
-    read_only.flags.writeable = False
-    for kept in (read_only, M.astype(np.uint64), M.astype(np.float64)):
-        before = kept.copy()
-        assert _kernels.rank_mod(kept, T) == want
-        assert np.array_equal(kept, before), kept.dtype
-    assert _kernels.rank_mod(M.tolist(), T) == want
-    if F.q > 256:  # uint8 holds these codes, but not every code the elimination makes
-        small = M % 256
-        kept = small.astype(np.uint8)
-        assert _kernels.rank_mod(kept, T) == ref_pivot_rows(small, T).size
-        assert np.array_equal(kept, M % 256)
-
-
 class _ColumnReads(np.ndarray):
-    """An int64 matrix that records the column of every single-column read M[rows, c],
-    also through the column panels M[:, lo:hi] that the elimination reads them from:
-    a panel is a view of the same class that records its reads at their offset lo."""
+    """A matrix that records the column of every single-column read M[rows, c], also
+    through the column panels M[:, lo:hi] that the elimination reads them from: a panel
+    is a view of the same class that records its reads at their offset lo, and so is
+    its code-dtype copy (lazy_codes)."""
 
-    offset = 0
+    def __array_finalize__(self, obj):
+        self.reads, self.offset = getattr(obj, "reads", None), getattr(obj, "offset", 0)
 
     def __getitem__(self, key):
         if isinstance(key, tuple) and len(key) == 2 and isinstance(key[1], (int, np.integer)):
@@ -697,8 +658,8 @@ def test_rank_search_jumps_over_dead_columns(p, e):
     ref = ref_pivot_rows(M.copy(), T)
     assert ref.size == 3
     last = next(j for j in range(900) if ref_pivot_rows(M[:, : j + 1].copy(), T).size == 3)
-    work = M.copy().view(_ColumnReads)
+    work = M.view(_ColumnReads)
     work.reads = []
-    assert _kernels._pivot_rows(work, T).tolist() == ref.tolist()
+    assert _kernels.rank_mod(lazy_codes(work, T), T).tolist() == ref.tolist()
     dead = [c for c in work.reads if c > last]
     assert 0 < len(dead) <= 2 * 900 // _kernels.SEARCH_COLS, len(dead)

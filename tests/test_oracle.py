@@ -28,7 +28,7 @@ from cartcodes.oracle import (
     verify_degrees,
     verify_params,
 )
-from helpers import full_rank_profile, inject_damaged_matrices, random_grid, span_words
+from helpers import full_rank_profile, inject_damaged_matrices, lazy_codes, random_grid, span_words
 
 
 def _full_code(p, e, cards, d):
@@ -295,7 +295,9 @@ def _whole_matrix_profile(grid, dmax):
     T = grid.field.tables()
     exps = list(poly.grevlex_exponents(_exponent_caps(grid.sets, T, dmax), dmax))
     prefixes = list(itertools.accumulate(sum(sum(e) == d for e in exps) for d in range(dmax + 1)))
-    return _kernels.rank_mod(poly.monomial_rows(grid, exps), T, prefixes=prefixes), len(exps)
+    arr = poly.monomial_rows(grid, exps)
+    pivots = _kernels.rank_mod(lazy_codes(arr, T, arr.shape[1]), T)
+    return np.searchsorted(pivots, prefixes).tolist(), len(exps)
 
 
 # (set sizes, dmax, what the elimination reads, taken over F_7, F_8 and F_9 too): each
