@@ -38,11 +38,12 @@ and tall matrices are one panel.  The pivot search jumps,
 up to SEARCH_COLS columns at a time, over the columns where every live row
 is zero, so a rank-deficient matrix does not search column by column once
 its live rows are zero.  A table step costs the same few calls however many
-rows it hits: it forms the pivot row's q multiples from a q x q product
-table, and each hit row adds its multiplier's row of them, by XOR or through
-a q x q addition table.  Over fields of at most SMALL_FIELD_Q elements every
-step is a table step; over larger ones with q^2 <= CHUNK_ENTRIES a step with
-at least q hit rows is, and the others scale the pivot row once per hit row.
+rows it hits: it forms the pivot row's q multiples from the field's q x q
+product table, and each hit row adds its multiplier's row of them, by XOR or
+through the field's q x q addition table.  Over fields of at most
+SMALL_FIELD_Q elements every step is a table step; over larger ones with
+q^2 <= CHUNK_ENTRIES a step with at least q hit rows is, and the others
+scale the pivot row once per hit row.
 
 All kernels do their field arithmetic through the field's vectorized
 FieldTables operations, so they are field-agnostic.  Those return codes in
@@ -272,15 +273,16 @@ def rank_mod(M, tables) -> np.ndarray:
     panel, the search there costs one test per SEARCH_COLS columns, not one
     per column, and a column that has a pivot costs no test at all.
 
-    Over a field with q^2 <= CHUNK_ENTRIES the call builds, once, a q x q
-    product table, the negated inverses -1/a and, for odd p, a q x q
-    addition table read at q * b + a, all in tables.code.  The offsets
-    q * b are held in the narrowest dtype that holds q^2 - 1 (uint8 up to
-    q = 13), so they need no int64 temporaries.  A table step takes the
-    same few calls however many rows it hits: one take normalizes the pivot
-    row to -row / row[c], one take along the product table's columns forms
-    its q multiples, and each hit row adds its multiplier's row of them, by
-    XOR for p = 2 and by one gather from the addition table for odd p.  Over
+    Over a field with q^2 <= CHUNK_ENTRIES the steps read the field's own
+    q x q tables, built once per field (FieldTables.prod, neginv and, for
+    odd p, plus, read at q * b + a), all in tables.code.  The call forms
+    only the offsets q * (a * b), in tables.offset, the narrowest dtype that
+    holds q^2 - 1 (uint8 up to q = 13), so they need no int64 temporaries.
+    A table step takes the same few calls however many rows it hits: one
+    take normalizes the pivot row to -row / row[c], one take along the
+    product table's columns forms its q multiples, and each hit row adds
+    its multiplier's row of them, by XOR for p = 2 and by one gather from
+    the addition table for odd p.  Over
     a field of at most SMALL_FIELD_Q elements every step is a table step;
     over a larger one only a step with at least q hit rows is, as the q
     multiples of a wide pivot row cost more than scaling it for a few rows.
@@ -297,14 +299,12 @@ def rank_mod(M, tables) -> np.ndarray:
     odd = tables.p != 2
     shift = n // 2 if odd else 0  # log(-1)
     prod = None  # prod[a, b] = a * b; None where no step takes the tables
-    if q * q <= CHUNK_ENTRIES and (q <= SMALL_FIELD_Q or q < rows):  # only q + 1 rows give q hit rows
-        prod = exp[log[:, None] + log]
-        neginv = exp[(shift - log) % n]  # -1/a (entry 0 unused)
+    # the field's tables, where it has them and a step can take them: only q + 1 rows give q hit rows
+    if tables.prod is not None and q * q <= CHUNK_ENTRIES and (q <= SMALL_FIELD_Q or q < rows):
+        prod, neginv, plus = tables.prod, tables.neginv, tables.plus
         multiples = prod  # row m of multiples.take(row, axis=1) is m * row
         if odd:  # ... times q, an offset into plus: a + b = plus[q * b + a]
-            codes = np.arange(q, dtype=tables.code)
-            plus = tables.add(codes, codes[:, None]).ravel()
-            multiples = np.multiply(prod, q, dtype=np.min_scalar_type(q * q - 1))
+            multiples = np.multiply(prod, q, dtype=tables.offset)
 
     def step(P, piv, a, hit, m, lo):
         # P[hit, lo:] -= (m / a) * P[piv, lo:], for the pivot's entry a and the hit rows'

@@ -3,6 +3,12 @@ generator matrices, and extremal minimum-weight codewords.
 
 All formulas take the sorted cardinality list (d_1 <= ... <= d_n, each >= 2
 after normalization) and use exact integer arithmetic throughout.
+
+The extremal words come from one chain of root products per coordinate,
+prod_{j<m} (s_j - t), with each row's values on its set from one
+Vandermonde evaluation (extremal_codewords); oracle.verify_degrees walks
+that chain over every interior degree of a grid, as it shares one rank
+profile, and extremal_codeword is its one-degree case.
 """
 
 from __future__ import annotations
@@ -15,17 +21,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import poly
 from .errors import LengthMismatchError, OutOfRangeError
 from .field import Field
 from .grid import Grid
-from .poly import (
-    MultiPoly,
-    _monic_root_product,
-    evaluate_on_grid,
-    grevlex_exponents,
-    monomial_rows,
-    row_blocks,
-)
+from .poly import MultiPoly, grevlex_exponents, monomial_rows, row_blocks
 
 
 class KLDecomposition(NamedTuple):
@@ -401,33 +401,86 @@ def extremal_codeword(code: CartesianCode):
     cards_i - 1 elements of each of the first k coordinate sets and the first
     ell elements of set k+1 (element lists consumed in sorted-code order, so
     the output is reproducible).  Its total degree is exactly d and the
-    weight of its evaluation vector is exactly the formula distance.
-
-    Each of the first k+1 coordinates contributes one univariate factor, a
-    coefficient array, so the terms are the nonzero entries of the outer
-    product of those arrays, and the word, in grid.points() order, is the
-    outer product of the factors' values on their sets, repeated over the
-    points of the remaining coordinates.
+    weight of its evaluation vector is exactly the formula distance.  It is
+    the one-degree case of extremal_codewords, which the verify oracle walks
+    over every degree of a grid; neither evaluates a polynomial on the grid
+    (poly.evaluate_on_grid).
     """
-    grid = code.grid
-    k, ell = decompose_k_ell(grid.cards, code.d)
-    F = grid.field
+    return next(extremal_codewords(code.grid, [code.d]))
+
+
+def extremal_codewords(grid: Grid, degrees):
+    """Yield extremal_codeword's (polynomial, word) at each degree, in the order given.
+
+    `grid` is normalized, as a CartesianCode's grid is: its cards ascend and
+    are all >= 2.  A degree outside 1..regularity - 1 raises OutOfRangeError
+    before the first item.
+
+    Coordinate i keeps the chain of root products f_m = prod_{j<m} (s_j - t_i)
+    over its sorted set s (_root_chain), one polynomial step per root, as
+    far as the last row a degree reads: row cards_i - 1 for a degree with
+    k > i, row ell for one with k = i.  The values of the rows read come
+    from one Vandermonde evaluation per coordinate.  The degree-d
+    polynomial's terms are then the outer product of the coefficients of
+    those rows, and its word, in grid.points() order, the outer product of
+    their values, repeated over the points of the coordinates after k; the
+    products of the full rows before each k are formed once.  A word is made
+    only when it is asked for, so one exists at a time if the caller drops
+    each before the next.
+    """
+    cards, F = grid.cards, grid.field
     T = F.tables()
-    terms = np.ones((), dtype=T.code)  # terms[a_1, ..., a_i]: coefficient of t^a
-    vec = np.ones(1, dtype=T.code)
-    for i, s in enumerate(grid.sets[: k + 1]):
-        count = grid.cards[i] - 1 if i < k else ell
-        coeffs = _monic_root_product(T, s[:count])  # prod (t - c) = (-1)^count prod (c - t)
-        if count % 2:
-            coeffs = T.neg[coeffs]
-        terms = T.mul(terms[..., None], coeffs)
-        (a,) = coeffs.nonzero()
-        factor = MultiPoly._from_terms(F, 1, dict(zip(zip(a.tolist()), coeffs[a].tolist())))
-        vals = evaluate_on_grid(factor, Grid(F, [s]))
-        vec = T.mul(vec[:, None], vals[None, :]).reshape(-1)
-    # the coordinates after k have the factor 1: one axis each, of length 1
-    terms = terms.reshape(terms.shape + (1,) * (grid.n - k - 1))
-    nz = terms.nonzero()
-    exps = zip(*(a.tolist() for a in nz))
-    poly = MultiPoly._from_terms(F, grid.n, dict(zip(exps, terms[nz].tolist())))
-    return poly, np.repeat(vec, math.prod(grid.cards[k + 1 :]))
+    splits = [decompose_k_ell(cards, d) for d in degrees]
+    reads = [set() for _ in cards]  # reads[i]: the chain rows of coordinate i that a degree reads
+    for k, ell in splits:
+        for i in range(k):
+            reads[i].add(cards[i] - 1)
+        reads[k].add(ell)
+    chains = [_root_chain(F, s, rows) for s, rows in zip(grid.sets, reads) if rows]
+
+    def times(terms, vec, i, m):  # the terms and values of a product, times row m of coordinate i
+        coeffs, val = chains[i][m]
+        row = coeffs[: m + 1]
+        if terms is None:
+            return row, val
+        return T.mul(terms[..., None], row), T.mul(vec[:, None], val).reshape(-1)
+
+    prefix = [(None, None)]  # prefix[k]: the product of the full rows of the coordinates before k
+    for k, ell in splits:
+        while len(prefix) <= k:
+            i = len(prefix) - 1
+            prefix.append(times(*prefix[i], i, cards[i] - 1))
+        terms, vec = times(*prefix[k], k, ell)
+        # the coordinates after k have the factor 1: one axis each, of length 1
+        terms = terms.reshape(terms.shape + (1,) * (grid.n - k - 1))
+        nz = terms.nonzero()
+        exps = zip(*(a.tolist() for a in nz))
+        f = MultiPoly._from_terms(F, grid.n, dict(zip(exps, terms[nz].tolist())))
+        yield f, np.repeat(vec, math.prod(cards[k + 1 :]))
+
+
+def _root_chain(F: Field, s, rows):
+    """The chain of root products of the sorted set s, as far as its rows are read.
+
+    f_0 = 1 and f_m = (s_(m-1) - t) f_(m-1), so f_m = prod_{j<m} (s_j - t).
+    Returns {m: (the coefficients of f_m from t^0 up, its values on s)} for
+    each m in rows; the other rows are stepped through, not kept.
+    """
+    T = F.tables()
+    top = max(rows)
+    f = np.zeros(top + 2, dtype=T.code)  # a zero, then the coefficients of f_m
+    f[1] = 1
+    kept = []
+    for m in range(top + 1):
+        if m:  # f_m = s_(m-1) f_(m-1) - t f_(m-1), of degree m
+            f[1 : m + 2] = T.sub(T.mul(s[m - 1], f[1 : m + 2]), f[: m + 1])
+        if m in rows:
+            kept.append((m, f[1:].copy()))
+    ms, coeffs = zip(*kept)
+    coeffs = np.array(coeffs)  # [r, a]: the coefficient of t^a in f_(ms[r])
+    # through poly: this module's monomial_rows binding evaluates generator matrices
+    vander = poly.monomial_rows(Grid(F, [s]), [(a,) for a in range(top + 1)])
+    values = np.broadcast_to(coeffs[:, :1], (len(ms), len(s)))  # t^0 = 1 on s
+    for a in range(1, top + 1):  # temporaries of the values' size
+        values = T.add(values, T.mul(coeffs[:, a, None], vander[a]))
+    return dict(zip(ms, zip(coeffs, values)))

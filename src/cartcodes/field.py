@@ -14,10 +14,13 @@ square-and-multiply, test a batch of candidates for the primitive element
 at once and give the generators of the cyclic subgroups, so neither needs
 the tables.
 Addition reads the tables only over odd extension fields: in characteristic
-2 it is the XOR of the codes, and over an odd prime their sum mod p.  The
-tables fix one dtype for codes, FieldTables.code, the narrowest unsigned
-dtype that holds q - 1, and every vectorized operation on codes in it
-returns codes in it.
+2 it is the XOR of the codes, and over an odd prime their sum mod p.  A
+field with q^2 <= PAIR_TABLE_ENTRIES also gets q x q tables, built once:
+the products, the negated inverses and, for odd p, the sums, which the
+rank elimination's table steps read and an odd extension field adds
+through.  The tables fix one dtype for codes, FieldTables.code, the
+narrowest unsigned dtype that holds q - 1, and every vectorized operation
+on codes in it returns codes in it.
 """
 
 from __future__ import annotations
@@ -42,6 +45,9 @@ ENV_MAX_FIELD = "CARTESIAN_MAX_FIELD"
 # Codes per step when multiplying a code array by a constant; bounds the
 # (block, e) digit temporaries.
 _BLOCK = 1 << 14
+
+# The largest q x q tables FieldTables builds, in entries: fields with q <= 181.
+PAIR_TABLE_ENTRIES = 1 << 15
 
 # The unsigned integer dtype of each width, for reading nonnegative sums as unsigned.
 _UNSIGNED = {np.dtype(t).itemsize: np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64)}
@@ -157,20 +163,27 @@ class FieldTables:
 
     holds when a or b is 0 too: d in [N, Z] (b = 0) maps to 0 and d in
     [-Z, -N] (a = 0) maps to d itself.  Only odd extension fields add
-    through zech, and only they build it; elsewhere zech is None.  In
-    characteristic 2 addition is the XOR of codes.  For an odd prime q = p
+    through zech, and only they build it; elsewhere zech is None.  Where
+    q^2 <= PAIR_TABLE_ENTRIES, prod[a, b] = a * b and neginv[a] = -1/a
+    (entry 0 unused), and for odd p the flat q x q table plus holds a + b at
+    q * b + a, an offset in offset, the narrowest unsigned dtype that holds
+    q^2 - 1; elsewhere they are None.  Such an odd extension field adds by
+    one gather from plus instead of through zech.  In characteristic 2
+    addition is the XOR of codes.  For an odd prime q = p
     the codes are the residues, and a + b is the modular sum
     (a + b) - p * [a + b >= p], taken in modsum, the least dtype that holds
     2(p - 1).  The operations broadcast like numpy ufuncs and take scalars
     as well as arrays.  log and zech hold int64 logarithms.  exp and neg
     hold codes in code, the narrowest unsigned dtype that holds q - 1 (uint8
-    up to q = 256), so mul and the zech add return codes in code; XOR and
+    up to q = 256), and so does plus, so mul and the table and zech adds
+    return codes in code whatever their inputs' dtypes; XOR and
     the modular sum return the dtype that numpy promotes their inputs'
     dtypes to (a Python int counts as int64).  So every operation on codes
     in code returns codes in code.
     """
 
-    __slots__ = ("q", "p", "sentinel", "code", "log", "exp", "zech", "neg", "modsum")
+    __slots__ = ("q", "p", "sentinel", "code", "log", "exp", "zech", "neg", "modsum",
+                 "prod", "neginv", "plus", "offset")
 
     def __init__(self, field: "Field"):
         q, p = field.q, field.p
@@ -195,8 +208,17 @@ class FieldTables:
             zech[z : z + n] = zech_units
         self.q, self.p, self.sentinel, self.code = q, p, z, code
         self.log, self.exp, self.zech = log, exp, zech
-        self.neg = exp[log + (0 if p == 2 else n // 2)]  # -1 = g^(N/2) for odd p
+        shift = 0 if p == 2 else n // 2  # log(-1): -1 = g^(N/2) for odd p
+        self.neg = exp[log + shift]
         self.modsum = np.min_scalar_type(2 * n) if p != 2 and q == p else None
+        self.prod = self.neginv = self.plus = self.offset = None
+        if q * q <= PAIR_TABLE_ENTRIES:
+            self.prod = exp[log[:, None] + log]
+            self.neginv = exp[(shift - log) % n]
+            if p != 2:  # built by the modular sum or the Zech add, before add reads it
+                codes = np.arange(q, dtype=code)
+                self.plus = self.add(codes, codes[:, None]).ravel()
+                self.offset = np.min_scalar_type(q * q - 1)
 
     def mul(self, a, b):
         log = self.log
@@ -218,6 +240,16 @@ class FieldTables:
             r = np.subtract(s, self.p, dtype=s.dtype)
             r = np.minimum(s, r, out=r if r.ndim else None)
             return r.view(wide).astype(code, copy=False)
+        if self.plus is not None:  # an odd extension field with a q x q sum table
+            if type(a) is int and type(b) is int:
+                return self.plus[self.q * b + a]
+            a, b = np.asarray(a), np.asarray(b)
+            wide = np.promote_types(np.promote_types(a.dtype, b.dtype), self.offset)
+            return self.plus.take(np.add(np.multiply(b, self.q, dtype=wide), a, dtype=wide))
+        return self._zech_add(a, b)
+
+    def _zech_add(self, a, b):
+        """a + b over an odd extension field, through zech."""
         # take, not []: numpy gathers by a narrow index array several times slower,
         # but [] reads one entry at a Python int several times faster
         get = self.log.__getitem__ if type(a) is int and type(b) is int else self.log.take

@@ -20,7 +20,9 @@ until they repeat, never reduced by the footprint or any formula.  The
 matrix is evaluated a column panel at a time, a run of whole elements of
 A_1, as the elimination reaches it, so a wide matrix of full row rank is
 evaluated only up to the panel of its last pivot.  verify_degrees uses the
-profile to check a whole chain C_0, C_1, ... with one elimination per grid.
+profile to check a whole chain C_0, C_1, ... with one elimination per grid,
+and shares one factor chain per coordinate (code.extremal_codewords) for
+the extremal words of every interior degree.
 """
 
 from __future__ import annotations
@@ -38,8 +40,10 @@ from .code import (
     CartesianCode,
     dimension_formula,
     extremal_codeword,
+    extremal_codewords,
     hilbert_function,
     min_distance_formula,
+    regularity,
     zero_bound,
 )
 from .errors import BudgetExceededError
@@ -227,15 +231,18 @@ class VerifyReport:
 
 
 def verify_params(
-    code: CartesianCode, budget: OracleBudget = DEFAULT_BUDGET, *, rank_of=None
+    code: CartesianCode, budget: OracleBudget = DEFAULT_BUDGET, *, rank_of=None, word_of=None
 ) -> VerifyReport:
     """Compare closed-form parameters against the brute-force oracles.
 
     Budget overruns mark a check as skipped, never passed; a failure's detail
     carries the witnessing values.  `rank_of(d)`, when given, answers the
-    rank check in place of brute_rank_dimension (verify_degrees passes one
-    that reads a rank profile shared by every degree of the grid).  The scan
-    is admitted once and answers both min_distance and max_zeros.
+    rank check in place of brute_rank_dimension, and `word_of(d)` gives the
+    extremal word whose weight the extremal_weight check counts in place of
+    extremal_codeword(code) (verify_degrees passes a rank profile and a
+    factor chain shared by every degree of the grid; neither evaluates a
+    polynomial on the grid).  The scan is admitted once and answers both
+    min_distance and max_zeros.
     """
     report = VerifyReport(q=code.field.q, cards=code.cards)
     cards, d = code.cards, code.d
@@ -275,13 +282,14 @@ def verify_params(
         run(
             "extremal_weight",
             delta,
-            lambda: int(np.count_nonzero(extremal_codeword(code)[1])),
+            lambda: int(np.count_nonzero(extremal_codeword(code)[1] if word_of is None else word_of(d))),
         )
     return report
 
 
 def verify_degrees(grid: Grid, degrees, budget: OracleBudget = DEFAULT_BUDGET) -> VerifyReport:
-    """verify_params at each degree in turn, with one rank elimination for the grid.
+    """verify_params at each degree in turn, with one rank elimination and
+    one factor chain for the grid.
 
     Each degree's scan is admitted by verify_params, by arithmetic on its
     size, so no monomial is listed and no matrix is built for a scan over
@@ -289,8 +297,12 @@ def verify_degrees(grid: Grid, degrees, budget: OracleBudget = DEFAULT_BUDGET) -
     rank check that is not skipped builds the profile at the largest degree
     within budget, so its elapsed carries the whole elimination and the later
     ones' only a lookup; a degree over budget is skipped with the same
-    BudgetExceededError that verify_params gives it alone.  The report lists
-    the checks of every degree in order, with the normalized grid's cards.
+    BudgetExceededError that verify_params gives it alone.  The extremal
+    words of the interior degrees come from one extremal_codewords walk, so
+    each root of a coordinate set is stepped once and each set's Vandermonde
+    evaluated once; verify_params asks for them in order, one degree at a
+    time, and the walk makes each word only then.  The report lists the
+    checks of every degree in order, with the normalized grid's cards.
     """
     codes = [CartesianCode(grid, d) for d in degrees]
     norm = grid.normalized()[0]
@@ -304,7 +316,13 @@ def verify_degrees(grid: Grid, degrees, budget: OracleBudget = DEFAULT_BUDGET) -
             ranks.extend(_rank_profile(norm, max(e for e, err in errors.items() if not err)))
         return ranks[d]
 
+    top = regularity(norm.cards)
+    words = extremal_codewords(norm, [d for d in degrees if 1 <= d < top])
+
+    def word_of(d):  # the next interior degree's word, which is d's
+        return next(words)[1]
+
     report = VerifyReport(q=grid.field.q, cards=norm.cards)
     for code in codes:
-        report.checks.extend(verify_params(code, budget, rank_of=rank_of).checks)
+        report.checks.extend(verify_params(code, budget, rank_of=rank_of, word_of=word_of).checks)
     return report

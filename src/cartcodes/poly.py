@@ -430,7 +430,12 @@ def monomial_rows(grid: Grid, exps_list) -> np.ndarray:
 
 
 def evaluate_on_grid(f: MultiPoly, grid: Grid) -> np.ndarray:
-    """Values of f at every grid point, flat in grid.points() order."""
+    """Values of f at every grid point, flat in grid.points() order.
+
+    Not on the verify path: the extremal words are outer products of
+    univariate factor values (code.extremal_codewords), and this stays the
+    general evaluator of the public API and the tests' reference.
+    """
     if f.field != grid.field:
         raise FieldMismatchError("polynomial and grid fields differ")
     if f.n != grid.n:

@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 from cartcodes import cli, dimension_formula, oracle
+from cartcodes import code as code_module
 from helpers import inject_damaged_matrices
 
 
@@ -258,6 +259,41 @@ def test_verify_dall_negative_control(capsys, monkeypatch):
     assert rank[1]["detail"] == "oracle 2 != formula 3"
 
 
+# On {0,1,2} x {0,1,2,3} (regularity 5) the full row 2 of the first set's chain is read
+# by d = 2 (k = 0, ell = 2) and by d = 3, 4 (k = 1); row 1 of the second set's by d = 3 alone.
+@pytest.mark.parametrize("coord,row,degrees", [(0, 2, [2, 3, 4]), (1, 1, [3])])
+def test_verify_fails_on_damaged_extremal_chain(capsys, monkeypatch, coord, row, degrees):
+    # drop the last root s_(row - 1) of one partial factor: its values no longer vanish
+    # there, so the word of every degree that reads the row is heavier than the distance
+    sets = [(0, 1, 2), (0, 1, 2, 3)]
+    real = code_module._root_chain
+
+    def damaged(F, s, rows):
+        chain = real(F, s, rows)
+        if tuple(s) == sets[coord] and row in chain:
+            coeffs, values = chain[row]
+            values = values.copy()
+            values[row - 1] = 1
+            chain[row] = coeffs, values
+        return chain
+
+    monkeypatch.setattr(code_module, "_root_chain", damaged)
+
+    def failed(*argv):
+        rc, out, _ = run_cli(capsys, "verify", "--q", "7", "--sets", "{0,1,2},{0,1,2,3}", *argv)
+        report = json.loads(out)
+        _validate(report, "verify_report")
+        assert rc == 1 and report["ok"] is False
+        for c in report["checks"]:
+            del c["elapsed"]
+        return [c for c in report["checks"] if c["status"] == "fail"]
+
+    dall = failed("--dall")
+    assert [(c["name"], c["d"]) for c in dall] == [("extremal_weight", d) for d in degrees]
+    assert all(c["oracle"] > c["formula"] for c in dall)
+    assert failed("--d", str(degrees[-1])) == dall[-1:]
+
+
 def test_verify_fails_on_damaged_zero_bound(capsys, monkeypatch):
     # max_zeros reads the sharp zero bound for 1 <= d <= regularity - 1, so damage there must fail
     real = oracle.zero_bound
@@ -303,10 +339,11 @@ def test_verify_dall_matches_each_degree(capsys, monkeypatch, q, sets):
 
 # tests/data/verify_dall.jsonl holds one line per grid, in this order: the
 # `verify` report with each check's elapsed removed, as json.dumps writes it.
-# CI diffs the installed console script against the same file.  The last two
+# CI diffs the installed console script against the same file.  Lines 6 and 7
 # pin the scan admission: at d = 1 the F5 grid's scan needs 5^4 = 625 words,
 # exactly its budget, and the F9 grid's one degree is skipped with a 34-digit
-# word count.
+# word count.  The last two pin extremal words: over an odd extension field with
+# 0 in a set, and over a prime field with partial factors of every length.
 GOLDEN_VERIFY_GRIDS = [
     ("4", "fullx3", "--dall"),
     ("5", "{1,2,4},full,{0,1}", "--dall"),
@@ -315,6 +352,8 @@ GOLDEN_VERIFY_GRIDS = [
     ("4", "{0,1,2},full", "--dall"),
     ("5", "{1,2,4},full,{0,1}", "--dall", "--max-words", "625"),
     ("9", "fullx4", "--d", "3", "--max-words", "1000"),
+    ("9", "{0,1,2},full", "--dall"),
+    ("7", "{0,1,2,3,4,5}x2", "--dall"),
 ]
 
 

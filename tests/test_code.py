@@ -30,7 +30,8 @@ from cartcodes import (
     standard_monomials,
     zero_bound,
 )
-from cartcodes import _kernels, cli, poly
+from cartcodes import _kernels, cli, oracle, poly
+from cartcodes import code as code_module
 from helpers import (
     lazy_codes,
     random_grid,
@@ -407,6 +408,76 @@ def test_extremal_matches_reference_on_verify_grids(q, sets):
         for exps, c in poly.terms.items():
             assert type(exps) is tuple and {type(a) for a in exps} == {int} and type(c) is int
         json.dumps([[list(e), c] for e, c in poly.terms.items()])
+
+
+# Grids for the factor chain: sets with 0, sets without it and the two mixed, of every
+# size up to 7 (a set with 0 may be the whole field).
+CHAIN_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (5, 2), (4099, 1)]
+
+
+def _chain_grids(F, rng):
+    """Normalized grids of at least two points whose sets hold 0, miss it, or alternate."""
+    grids = []
+    for cards in [(2, 3), (3, 3, 4), (2, 5, 7), (4, 2)]:
+        with_zero = [[0] + rng.sample(range(1, F.q), min(c, F.q) - 1) for c in cards]
+        without = [rng.sample(range(1, F.q), min(c, F.q - 1)) for c in cards]
+        mixed = [w if i % 2 else z for i, (z, w) in enumerate(zip(with_zero, without))]
+        for sets in (with_zero, without, mixed):
+            grid = Grid(F, sets).normalized()[0]
+            if grid.size > 1:
+                grids.append(grid)
+    return grids
+
+
+@pytest.mark.parametrize("p,e", CHAIN_FIELDS)
+def test_extremal_chain_matches_reference(p, e):
+    # every interior degree, asked for in ascending, descending and shuffled order
+    F = make_field(p, e)
+    rng = random.Random(800 * p + e)
+    for grid in _chain_grids(F, rng):
+        interior = list(range(1, regularity(grid.cards)))
+        refs = {d: ref_extremal_codeword(CartesianCode(grid, d)) for d in interior}
+        shuffled = rng.sample(interior, len(interior))
+        for order in (interior, interior[::-1], shuffled):
+            got = list(code_module.extremal_codewords(grid, order))
+            assert len(got) == len(order)
+            for d, (f, word) in zip(order, got):
+                ref_f, ref_word = refs[d]
+                assert f == ref_f and f.format() == ref_f.format(), (grid, d)
+                assert word.dtype == ref_word.dtype == F.tables().code
+                assert np.array_equal(word, ref_word), (grid, d)
+        for d in interior:  # the one-degree case
+            f, word = extremal_codeword(CartesianCode(grid, d))
+            assert f == refs[d][0] and word.dtype == refs[d][1].dtype
+            assert np.array_equal(word, refs[d][1])
+
+
+def test_extremal_chain_raises_before_the_first_word():
+    grid = Grid(make_field(3), [(0, 1, 2), (0, 1)])
+    words = code_module.extremal_codewords(grid, [1, 3])  # regularity 3
+    with pytest.raises(OutOfRangeError):
+        next(words)
+
+
+def test_verify_dall_evaluates_each_vandermonde_once(monkeypatch):
+    # one verify --dall pass over 10 interior degrees evaluates the Vandermonde of each
+    # coordinate set once: the rank oracle and the generator matrices go through their
+    # own modules' monomial_rows, so every call counted here is the factor chain's
+    F = make_field(7)
+    grid = Grid(F, [(0, 1, 2), (1, 2, 3, 4), tuple(range(7))])
+    calls, real = [], poly.monomial_rows
+
+    def counted(g, exps_list):
+        calls.append((g.sets, len(exps_list)))
+        return real(g, exps_list)
+
+    monkeypatch.setattr(poly, "monomial_rows", counted)
+    top = regularity(grid.cards)
+    report = oracle.verify_degrees(grid, range(top + 1))
+    assert report.ok and top - 1 == 10
+    assert [c.d for c in report.checks if c.name == "extremal_weight"] == list(range(1, top))
+    # the full rows of the first two sets, and rows 0..ell <= 5 of the last (ell < 7 - 1)
+    assert calls == [((s,), m) for s, m in zip(grid.sets, [3, 4, 6])]
 
 
 def test_extremal_out_of_range():

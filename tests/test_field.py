@@ -355,6 +355,47 @@ def test_code_dtype_in_code_dtype_out(p, e, code):
     assert evaluate_on_grid(MultiPoly.zero(F, 2), grid).dtype == code
 
 
+@pytest.mark.parametrize("p,e", [(3, 2), (5, 2), (3, 3), (7, 2), (11, 2), (13, 2)])
+def test_table_add_equals_zech_add_on_every_pair(p, e):
+    # an odd extension field with q^2 <= PAIR_TABLE_ENTRIES (F9 ... F169) adds by one
+    # gather from its q x q sum table; the Zech add it replaces is the reference
+    F = make_field(p, e)
+    T = F.tables()
+    q = F.q
+    assert q * q <= field_module.PAIR_TABLE_ENTRIES
+    assert T.plus.dtype == T.code and T.plus.size == q * q
+    assert T.offset == np.min_scalar_type(q * q - 1)
+    b, a = np.divmod(np.arange(q * q), q)
+    want = T._zech_add(a, b)
+    assert want.dtype == T.code
+    for dtype in (T.code, np.dtype(np.int64)):  # code-dtype and int64 codes give code-dtype codes
+        got = T.add(a.astype(dtype), b.astype(dtype))
+        assert got.dtype == T.code and np.array_equal(got, want)
+    grid = T.add(np.arange(q, dtype=T.code)[:, None], np.arange(q, dtype=T.code))  # broadcast
+    assert np.array_equal(grid.ravel(), T._zech_add(b, a))
+    rng = random.Random(q)
+    for x, y in [(0, 0), (q - 1, q - 1)] + [(rng.randrange(q), rng.randrange(q)) for _ in range(50)]:
+        got = T.add(x, y)  # Python ints
+        assert got.dtype == T.code and got == T._zech_add(x, y) == ref_add(F, x, y)
+        assert T.sub(x, y) == ref_add(F, x, ref_neg(F, y))
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (2, 4), (181, 1), (3, 5), (191, 1), (2, 8)])
+def test_pair_tables_built_once_per_small_field(p, e):
+    # prod, neginv and (odd p) plus exist where q^2 <= PAIR_TABLE_ENTRIES, and only there
+    F = make_field(p, e)
+    T = F.tables()
+    q = F.q
+    small = q * q <= field_module.PAIR_TABLE_ENTRIES
+    assert (T.prod is not None) == (T.neginv is not None) == small
+    assert (T.plus is not None) == (T.offset is not None) == (small and p != 2)
+    if small:
+        units = np.arange(1, q)
+        assert np.array_equal(T.prod, T.mul(np.arange(q)[:, None], np.arange(q)))
+        assert not T.add(T.mul(T.neginv[units], units), 1).any()  # -1/a * a + 1 = 0
+        assert T.prod.dtype == T.neginv.dtype == T.code
+
+
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (131, 1), (4099, 1), (2, 3), (3, 2), (5, 2)])
 def test_zech_table_only_for_odd_extension_fields(p, e):
     # characteristic 2 adds by XOR and an odd prime by modular sum: neither reads zech
